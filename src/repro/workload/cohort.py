@@ -27,7 +27,7 @@ counter extrapolates without rounding drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.engine import FleetClient
@@ -91,3 +91,31 @@ def plan_cohorts(
         if len(cohort.tracer_indices) < tracers_per_cohort:
             cohort.tracer_indices.append(index)
     return list(cohorts.values())
+
+
+def plan_periodic_cohorts(
+    assignment: Callable[[int], tuple[Hashable, str]],
+    population: int,
+    period: int,
+    tracers_per_cohort: int,
+) -> list[Cohort]:
+    """:func:`plan_cohorts` for a fleet whose cohort keys repeat every ``period`` indices.
+
+    ``assignment(index)`` gives ``(cohort key, cohort label)`` and must
+    equal ``assignment(index % period)``.  Every key recurs at least once
+    per period, so the first ``period × tracers_per_cohort`` indices hold
+    every cohort's tracers, and populations follow from counting how often
+    each residue occurs below ``population``.  Same cohorts, order and
+    tracers as the full pass, in O(period × tracers_per_cohort) rather
+    than O(population).
+    """
+    head = min(population, period * tracers_per_cohort)
+    cohorts = plan_cohorts(((index, *assignment(index)) for index in range(head)), tracers_per_cohort)
+    by_key = {cohort.key: cohort for cohort in cohorts}
+    for cohort in cohorts:
+        cohort.population = 0
+    laps, remainder = divmod(population, period)
+    for residue in range(min(period, population)):
+        key, _label = assignment(residue)
+        by_key[key].population += laps + (residue < remainder)
+    return cohorts

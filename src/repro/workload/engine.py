@@ -27,6 +27,7 @@ produce byte-identical :meth:`WorkloadReport.snapshot` dictionaries.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -56,7 +57,7 @@ from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.queueing import load_cv
 from repro.spatialindex.cellid import CellId
 from repro.telemetry import TelemetryConfig, TelemetryPipeline
-from repro.workload.cohort import Cohort, plan_cohorts
+from repro.workload.cohort import Cohort, plan_periodic_cohorts
 from repro.workload.events import EventHeap, EventKind, RoundObserver, notify_round_end
 from repro.workload.mobility import (
     AisleWalk,
@@ -623,6 +624,10 @@ class WorkloadEngine:
             return ("trace" if self.config.long_traces else "commute", 0)
         return ("waypoint", 0)
 
+    def _mobility_period(self) -> int:
+        """``_mobility_spec(index)`` equals ``_mobility_spec(index % period)``."""
+        return 3 * max(1, len(self.scenario.stores))
+
     def _commute_routes(self) -> tuple[list[LatLng], list[LatLng]]:
         stores = self.scenario.stores
         city_bounds = self.scenario.city.bounds
@@ -716,19 +721,23 @@ class WorkloadEngine:
         A cohort is (mobility spec, resolver pool index): every device in it
         would be built from the same store/route/bounds and talk to the same
         shared resolver, so they differ only by RNG stream — exactly the
-        statistical identity tracer sampling needs.  Planning is one
-        arithmetic pass over the index range; device objects exist only for
-        tracers, which is what makes million-client fleets affordable.
+        statistical identity tracer sampling needs.  Keys repeat every
+        ``lcm(mobility period, pools)`` indices, so planning reads only the
+        first few periods; device objects exist only for tracers, which is
+        what makes million-client fleets affordable.
         """
 
-        def assignments():
-            for index in range(self.config.clients):
-                spec = self._mobility_spec(index)
-                pool_index = index % len(pools)
-                label = f"{spec[0]}{spec[1]}-pool{pool_index}"
-                yield index, (spec, pool_index), label
+        def assignment(index: int) -> tuple[tuple[tuple[str, int], int], str]:
+            spec = self._mobility_spec(index)
+            pool_index = index % len(pools)
+            return (spec, pool_index), f"{spec[0]}{spec[1]}-pool{pool_index}"
 
-        self.cohorts = plan_cohorts(assignments(), self.config.tracers_per_cohort)
+        self.cohorts = plan_periodic_cohorts(
+            assignment,
+            self.config.clients,
+            math.lcm(self._mobility_period(), len(pools)),
+            self.config.tracers_per_cohort,
+        )
         fleet: list[FleetClient] = []
         for cohort in self.cohorts:
             spec, _pool_index = cohort.key

@@ -24,6 +24,7 @@ from repro.workload import (
     WorkloadEngine,
     plan_cohorts,
 )
+from repro.workload.cohort import plan_periodic_cohorts
 from repro.worldgen.scenario import build_scenario
 
 
@@ -107,6 +108,37 @@ class TestCohortPlanning:
     def test_rejects_zero_tracers(self):
         with pytest.raises(ValueError):
             plan_cohorts([], tracers_per_cohort=0)
+
+    @pytest.mark.parametrize("period", [1, 3, 6, 7])
+    @pytest.mark.parametrize("tracers", [1, 4, 16])
+    def test_periodic_plan_matches_the_full_pass(self, period: int, tracers: int):
+        def assignment(index: int) -> tuple[tuple[str, int], str]:
+            # Several residues share a key, and keys first appear out of order.
+            family = (index % period) * 5 % 3
+            return ("m", family), f"m{family}"
+
+        for population in (0, 1, period - 1, period * tracers - 1, period * tracers, 1000, 1003):
+            full = plan_cohorts(((i, *assignment(i)) for i in range(population)), tracers)
+            periodic = plan_periodic_cohorts(assignment, population, period, tracers)
+            assert periodic == full
+
+    @pytest.mark.parametrize("store_count", [1, 2, 3])
+    @pytest.mark.parametrize("pools", [1, 2, 4])
+    def test_engine_plans_the_same_cohorts_as_a_full_pass(self, store_count: int, pools: int):
+        config = WorkloadConfig(clients=1234, steps=1, seed=7, cohort_min_clients=500, resolver_pools=pools)
+        engine = WorkloadEngine(small_scenario(store_count=store_count), config)
+        period = engine._mobility_period()
+        assert all(engine._mobility_spec(i) == engine._mobility_spec(i % period) for i in range(4 * period))
+        full = plan_cohorts(
+            (
+                (i, (engine._mobility_spec(i), i % pools),
+                 f"{engine._mobility_spec(i)[0]}{engine._mobility_spec(i)[1]}-pool{i % pools}")
+                for i in range(config.clients)
+            ),
+            config.tracers_per_cohort,
+        )
+        planned = [(c.key, c.label, c.population, c.tracer_indices) for c in engine.cohorts]
+        assert planned == [(c.key, c.label, c.population, c.tracer_indices) for c in full]
 
 
 class TestConfigValidation:

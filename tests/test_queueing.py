@@ -8,6 +8,10 @@ on the same fleet experiments.
 
 from __future__ import annotations
 
+import math
+import random
+from bisect import bisect_right, insort
+
 import pytest
 
 from repro.core.config import FederationConfig
@@ -17,6 +21,9 @@ from repro.simulation.queueing import (
     ServerOverloadedError,
     ServerQueue,
     ServiceTimeModel,
+    _WorkerFull,
+    _WorkerSchedule,
+    _water_fill,
 )
 from repro.worldgen.scenario import build_scenario
 
@@ -310,3 +317,403 @@ class TestPhantomArrivals:
             queue.phantom_arrivals("search", -1)
         assert queue.phantom_arrivals("search", 0) == (0, 0)
         assert queue.stats.arrivals == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference admission algorithms.  These are the plain backlog walk and the
+# one-job-at-a-time water-fill that the gap index and the closed-form
+# placement replaced; every simulated number must stay bit-for-bit equal to
+# what they produce, so they stay here as oracles.
+
+
+def reference_place(
+    starts: list[float], ends: list[float], now: float, service_s: float, capacity: int
+) -> tuple[float, int]:
+    """Walk every live interval until a gap fits; raise once ``capacity`` are passed."""
+    first_live = bisect_right(ends, now)
+    cursor = now
+    queued_behind = 0
+    for index in range(first_live, len(starts)):
+        if starts[index] - cursor >= service_s:
+            break
+        interval_end = ends[index]
+        if interval_end > cursor:
+            cursor = interval_end
+            queued_behind += 1
+            if queued_behind >= capacity:
+                raise _WorkerFull()
+    return cursor, queued_behind
+
+
+def reference_water_fill(
+    tails: list[float], caps: list[int], service_s: float, admitted: int
+) -> list[int]:
+    """Hand each job to the earliest-finishing worker with room, lowest index on ties."""
+    assigned = [0] * len(tails)
+    for _ in range(admitted):
+        best_index = -1
+        best_finish = math.inf
+        for index in range(len(tails)):
+            if assigned[index] >= caps[index]:
+                continue
+            finish = tails[index] + assigned[index] * service_s
+            if finish < best_finish:
+                best_finish = finish
+                best_index = index
+        assigned[best_index] += 1
+    return assigned
+
+
+class ReferenceQueue:
+    """The same queue model on plain sorted lists, admitted with the oracles."""
+
+    def __init__(self, service_times: ServiceTimeModel, capacity: int, workers: int) -> None:
+        self.service_times = service_times
+        self.capacity = capacity
+        self.workers = workers
+        self.stats = QueueStats()
+        self.starts: list[list[float]] = [[] for _ in range(workers)]
+        self.ends: list[list[float]] = [[] for _ in range(workers)]
+
+    def _maybe_prune(self, now: float) -> None:
+        if sum(len(ends) for ends in self.ends) > 1024:
+            cutoff = now - ServerQueue._PRUNE_LAG_SECONDS
+            for starts, ends in zip(self.starts, self.ends):
+                cut = bisect_right(ends, cutoff)
+                del starts[:cut]
+                del ends[:cut]
+
+    def _commit(self, index: int, start: float, service_s: float) -> None:
+        insort(self.starts[index], start)
+        insort(self.ends[index], start + service_s)
+
+    def process(self, kind: str, now: float) -> float | None:
+        """Total server-side ms, or None when every worker is full."""
+        self.stats.arrivals += 1
+        self._maybe_prune(now)
+        service_ms = self.service_times.service_ms(kind)
+        service_s = service_ms / 1000.0
+        best = None
+        for index in range(self.workers):
+            try:
+                start, queued_behind = reference_place(
+                    self.starts[index], self.ends[index], now, service_s, self.capacity
+                )
+            except _WorkerFull:
+                continue
+            if best is None or start < best[0]:
+                best = (start, queued_behind, index)
+                if start <= now:
+                    break
+        if best is None:
+            self.stats.dropped += 1
+            return None
+        start, queued_behind, index = best
+        self.stats.depth_total += queued_behind
+        self.stats.max_depth = max(self.stats.max_depth, queued_behind)
+        wait_ms = (start - now) * 1000.0
+        self._commit(index, start, service_s)
+        self.stats.served += 1
+        self.stats.busy_ms += service_ms
+        self.stats.wait_ms_total += wait_ms
+        return wait_ms + service_ms
+
+    def phantom_arrivals(self, kind: str, count: int, now: float) -> tuple[int, int]:
+        if count == 0:
+            return (0, 0)
+        self.stats.arrivals += count
+        self._maybe_prune(now)
+        service_ms = self.service_times.service_ms(kind)
+        service_s = service_ms / 1000.0
+        tails = [max(now, ends[-1] if ends else 0.0) for ends in self.ends]
+        lives = [len(ends) - bisect_right(ends, now) for ends in self.ends]
+        caps = [max(0, self.capacity - live) for live in lives]
+        admitted = min(count, sum(caps))
+        dropped = count - admitted
+        self.stats.dropped += dropped
+        if admitted == 0:
+            return (0, dropped)
+        if service_s <= 0.0:
+            assigned = [0] * self.workers
+            remaining = admitted
+            while remaining:
+                for index in range(self.workers):
+                    if remaining and assigned[index] < caps[index]:
+                        take = min(remaining, caps[index] - assigned[index])
+                        assigned[index] += take
+                        remaining -= take
+        else:
+            assigned = reference_water_fill(tails, caps, service_s, admitted)
+        for index, jobs in enumerate(assigned):
+            for position in range(jobs):
+                start = tails[index] + position * service_s
+                self._commit(index, start, service_s)
+                self.stats.wait_ms_total += (start - now) * 1000.0
+                queued_behind = lives[index] + position
+                self.stats.depth_total += queued_behind
+                self.stats.max_depth = max(self.stats.max_depth, queued_behind)
+            self.stats.served += jobs
+            self.stats.busy_ms += jobs * service_ms
+        return (admitted, dropped)
+
+
+def set_clock(queue: ServerQueue, instant: float) -> float:
+    clock = queue.network.clock
+    if clock.now() > instant:
+        clock.rewind_to(instant)
+    elif clock.now() < instant:
+        clock.advance_to(instant)
+    return clock.now()
+
+
+def assert_schedule_indexes(schedule: _WorkerSchedule) -> None:
+    """The gap and repeated-end indexes match a from-scratch rebuild."""
+    starts, ends = schedule.starts, schedule.ends
+    assert starts == sorted(starts) and ends == sorted(ends)
+    gaps = [i for i in range(1, len(starts)) if starts[i] - ends[i - 1] >= schedule.min_gap]
+    repeats = [ends[i] for i in range(1, len(ends)) if ends[i] == ends[i - 1]]
+    assert schedule.gap_starts == [starts[i] for i in gaps]
+    assert schedule.gap_widths == [starts[i] - ends[i - 1] for i in gaps]
+    assert schedule.repeat_ends == repeats
+
+
+def assert_same_process(queue: ServerQueue, reference: ReferenceQueue, kind: str, now: float) -> None:
+    """One real arrival: the same total ms, or an overload on both sides."""
+    expected = reference.process(kind, now)
+    if expected is None:
+        with pytest.raises(ServerOverloadedError):
+            queue.process(kind)
+    else:
+        assert queue.process(kind) == expected
+
+
+def assert_same_state(queue: ServerQueue, reference: ReferenceQueue) -> None:
+    assert queue.stats == reference.stats  # dataclass equality: exact floats
+    for index, schedule in enumerate(queue._schedules):
+        assert schedule.starts == reference.starts[index]
+        assert schedule.ends == reference.ends[index]
+        assert_schedule_indexes(schedule)
+    assert queue._intervals == sum(len(ends) for ends in reference.ends)
+
+
+MIXED_MODEL = ServiceTimeModel(
+    default_ms=2.0,
+    per_kind_ms={"search": 1.5, "routing": 4.0, "tiles": 0.5, "localization": 2.5, "ping": 0.0},
+)
+KINDS = ("search", "routing", "tiles", "localization", "ping", "other")
+
+
+def run_mixed_sequence(
+    seed: int, workers: int, capacity: int, model: ServiceTimeModel = MIXED_MODEL, steps: int = 400
+) -> None:
+    """Drive the queue and the reference through one random op sequence, comparing every step.
+
+    Arrivals cluster in concurrent rounds (the clock rewinds within a
+    round), rounds occasionally jump past the prune lag, and phantom
+    batches large enough to saturate every worker are mixed in.
+    """
+    rng = random.Random(seed)
+    queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=capacity, workers=workers)
+    reference = ReferenceQueue(model, capacity, workers)
+    round_start = 0.0
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.05:
+            round_start += rng.choice((0.5, 5.0, 150.0))
+        elif roll < 0.25:
+            round_start += rng.uniform(0.0, 0.02)
+        now = set_clock(queue, round_start + rng.choice((0.0, 0.0, rng.uniform(0.0, 0.03))))
+        kind = rng.choice(KINDS)
+        if rng.random() < 0.3:
+            count = rng.choice((1, 2, rng.randrange(0, 4 * capacity * workers + 2)))
+            assert queue.phantom_arrivals(kind, count) == reference.phantom_arrivals(kind, count, now)
+            assert queue.network.clock.now() == now
+        else:
+            assert_same_process(queue, reference, kind, now)
+        assert_same_state(queue, reference)
+
+
+class TestAdmissionMatchesReference:
+    """Gap-indexed placement and closed-form phantom fill are bit-for-bit the oracles."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 64])
+    def test_random_mixed_sequences(self, workers: int, capacity: int):
+        for seed in range(3):
+            run_mixed_sequence(seed * 1000 + workers * 10 + capacity, workers, capacity)
+
+    @pytest.mark.parametrize("workers", [64, 128])
+    def test_random_mixed_sequences_wide_pools(self, workers: int):
+        run_mixed_sequence(workers, workers, capacity=8, steps=120)
+
+    def test_zero_length_only_model(self):
+        # No positive service time at all: nothing is indexed, every
+        # placement takes the narrow path.
+        model = ServiceTimeModel(default_ms=0.0)
+        for seed in range(4):
+            run_mixed_sequence(seed, workers=3, capacity=4, model=model)
+
+    def test_sequences_past_the_prune_trigger(self):
+        # Enough phantom load to keep >1024 intervals held, with rounds that
+        # jump past the prune lag, so placement runs on pruned schedules.
+        rng = random.Random(5)
+        model = ServiceTimeModel(default_ms=2.0, per_kind_ms={"ping": 0.0})
+        queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=300, workers=4)
+        reference = ReferenceQueue(model, 300, 4)
+        pruned = False
+        for step in range(300):
+            instant = 100.0 * (step // 25) + rng.uniform(0.0, 0.5)
+            now = set_clock(queue, instant)
+            held = queue._intervals
+            if rng.random() < 0.2:
+                assert queue.phantom_arrivals("search", 600) == reference.phantom_arrivals("search", 600, now)
+            else:
+                assert_same_process(queue, reference, rng.choice(("search", "ping")), now)
+            pruned = pruned or queue._intervals < held
+            assert_same_state(queue, reference)
+        assert pruned
+
+    @pytest.mark.parametrize("capacity", [1, 2, 7])
+    def test_backlog_of_exactly_capacity(self, capacity: int):
+        for service_s, spacing in ((0.002, 0.002), (0.002, 0.0025), (0.0, 0.001)):
+            schedule = _WorkerSchedule(min_gap=0.0005)
+            for position in range(capacity):
+                schedule.commit(position * spacing, service_s)
+            starts, ends = schedule.starts, schedule.ends
+            for probe in (0.002, 0.0015, 0.0):
+                for limit in (capacity, capacity + 1):
+                    try:
+                        expected = reference_place(starts, ends, 0.0, probe, limit)
+                    except _WorkerFull:
+                        with pytest.raises(_WorkerFull):
+                            schedule.place(0.0, probe, limit)
+                    else:
+                        assert schedule.place(0.0, probe, limit) == expected
+
+    def test_tail_extend_equals_one_commit_per_interval(self):
+        # Dyadic times make gaps of exactly ``min_gap`` and repeated ends
+        # common, so both index boundaries are hit.
+        rng = random.Random(3)
+        for _ in range(200):
+            committed = _WorkerSchedule(min_gap=0.5)
+            extended = _WorkerSchedule(min_gap=0.5)
+            for _ in range(rng.randrange(0, 6)):
+                start, length = rng.randrange(0, 16) / 4, rng.randrange(0, 4) / 4
+                committed.commit(start, length)
+                extended.commit(start, length)
+            tail = max(committed.ends[-1:] + [0.0]) + rng.randrange(0, 4) / 4
+            length = rng.randrange(0, 4) / 4
+            starts = [tail + position * length for position in range(rng.randrange(1, 6))]
+            for start in starts:
+                committed.commit(start, length)
+            extended.extend(starts, [start + length for start in starts])
+            assert extended == committed
+            assert_schedule_indexes(extended)
+
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_place_on_random_schedules(self, dyadic: bool):
+        # Dyadic times (quarter units) make gaps exactly as wide as a
+        # service time; random floats exercise rounding at the boundaries.
+        rng = random.Random(11)
+        lengths = (0.0, 0.25, 0.5, 0.75) if dyadic else (0.0, 0.0005, 0.0015, 0.004)
+        horizon = 12.0 if dyadic else 0.05
+
+        def instant() -> float:
+            if dyadic:
+                return rng.randrange(0, int(horizon * 4)) / 4
+            return rng.choice((0.0, 0.001, rng.uniform(0.0, horizon)))
+
+        for _ in range(300):
+            schedule = _WorkerSchedule(min_gap=lengths[1])
+            for _ in range(rng.randrange(0, 40)):
+                schedule.commit(instant(), rng.choice(lengths))
+            if rng.random() < 0.3:
+                schedule.prune(instant() * 0.6)
+            assert_schedule_indexes(schedule)
+            for _ in range(10):
+                now = instant()
+                service_s = rng.choice(lengths)
+                capacity = rng.randrange(1, 12)
+                try:
+                    expected = reference_place(schedule.starts, schedule.ends, now, service_s, capacity)
+                except _WorkerFull:
+                    with pytest.raises(_WorkerFull):
+                        schedule.place(now, service_s, capacity)
+                else:
+                    assert schedule.place(now, service_s, capacity) == expected
+
+
+class TestWaterFillMatchesReference:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 16, 64, 128])
+    def test_random_tails_and_caps(self, workers: int):
+        rng = random.Random(workers)
+        for _ in range(40 if workers < 64 else 8):
+            # 1e-17 is below the tails' float resolution: slots collapse onto
+            # equal start times and the level-based estimate undershoots.
+            service_s = rng.choice((0.0005, 0.0015, 0.002, 0.004, 1e-9, 1e-17))
+            now = rng.choice((0.0, 3.7, 1234.5678))
+            tails = [now + rng.choice((0.0, rng.randrange(0, 50) * service_s, rng.uniform(0.0, 0.1)))
+                     for _ in range(workers)]
+            caps = [rng.choice((0, rng.randrange(0, 20), 512)) for _ in range(workers)]
+            if not sum(caps):
+                continue
+            admitted = rng.randrange(1, sum(caps) + 1)
+            assert _water_fill(tails, caps, service_s, admitted) == reference_water_fill(
+                tails, caps, service_s, admitted
+            )
+
+    @pytest.mark.parametrize("workers", [2, 7, 128])
+    def test_equal_tails_break_ties_toward_low_index(self, workers: int):
+        for admitted in (1, workers - 1, workers, workers + 1, 3 * workers + 2):
+            tails = [10.0] * workers
+            caps = [8] * workers
+            admitted = min(admitted, sum(caps))
+            result = _water_fill(tails, caps, 0.002, admitted)
+            assert result == reference_water_fill(tails, caps, 0.002, admitted)
+            assert sum(result) == admitted
+
+    def test_full_and_nearly_full_pools(self):
+        tails = [0.5, 0.5, 0.501, 0.0]
+        caps = [3, 0, 1, 2]
+        for admitted in range(1, sum(caps) + 1):
+            assert _water_fill(tails, caps, 0.001, admitted) == reference_water_fill(
+                tails, caps, 0.001, admitted
+            )
+
+
+PINNED_COUNTS = (2340, 1242, 1098)
+PINNED_DEPTHS = (8452, 11)
+PINNED_BUSY_MS_HEX = "0x1.91b0000000005p+11"
+PINNED_WAIT_MS_HEX = "0x1.45f2cccccccf1p+14"
+
+
+class TestQueueStatsFloatOrder:
+    """Pins the exact bytes of a saturated multi-worker run.
+
+    ``wait_ms_total`` and ``busy_ms`` are accumulated one job at a time in a
+    fixed order; any reordering or a switch to ``sum()`` (compensated since
+    CPython 3.12) shows up here on every supported interpreter.
+    """
+
+    def test_saturated_sequence_bytes(self):
+        model = ServiceTimeModel(
+            default_ms=2.0,
+            per_kind_ms={"search": 1.5, "routing": 4.0, "tiles": 0.5, "localization": 2.3},
+        )
+        queue = ServerQueue(network=SimulatedNetwork(), service_times=model, capacity=12, workers=5)
+        clock = queue.network.clock
+        for round_index in range(30):
+            round_start = round_index * 0.0213
+            for client in range(9):
+                set_clock(queue, round_start + client * 0.0007)
+                try:
+                    queue.process(("search", "routing", "tiles", "localization", "other")[client % 5])
+                except ServerOverloadedError:
+                    pass
+                clock.rewind_to(round_start)
+            queue.phantom_arrivals(("search", "routing")[round_index % 2], 40 + 2 * round_index)
+        stats = queue.stats
+        assert (stats.arrivals, stats.served, stats.dropped) == PINNED_COUNTS
+        assert (stats.depth_total, stats.max_depth) == PINNED_DEPTHS
+        assert stats.busy_ms.hex() == PINNED_BUSY_MS_HEX
+        assert stats.wait_ms_total.hex() == PINNED_WAIT_MS_HEX
