@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+
+def snapshot_digest(snapshot: dict[str, float]) -> str:
+    """A short stable fingerprint of a run's full snapshot (determinism)."""
+    payload = json.dumps(snapshot, sort_keys=True).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
 
 def md1_mean_wait_ms(service_ms: float, utilization: float) -> float:
     """Mean queueing wait of an M/D/1 server (milliseconds).

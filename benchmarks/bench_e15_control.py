@@ -37,7 +37,6 @@ rewrites byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -57,7 +56,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
+from _util import print_table, snapshot_digest  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -168,16 +167,10 @@ def _row(
         "_replica_arrivals": {sid: arrivals[sid] for sid in replica_ids},
         "_wall_seconds": wall_seconds,
         "_simulated_seconds": report.simulated_seconds,
-        "_snapshot_digest": _digest(report.snapshot()),
+        "_snapshot_digest": snapshot_digest(report.snapshot()),
     }
     row.update(extra)
     return row
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def run_drain(

@@ -1,6 +1,6 @@
 """E16 — scale: 100k-client smoke, 1M-client sweep on the cohort fast path.
 
-The event-driven engine's cohort fast path (tracers + batched phantom
+The engine's cohort fast path (tracers + batched phantom
 load) is what turns the workload engine from a ~5k-client tool into one
 that runs 100,000 clients inside a CI smoke budget and a million in a
 full sweep.  This benchmark measures exactly that: fleet sizes far above

@@ -61,7 +61,7 @@ from repro.faults.scenarios import (
 from repro.workload import WorkloadEngine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
+from _util import print_table, snapshot_digest  # noqa: E402
 
 DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e17.json"
 """The committed, check.sh-gated artifact — written by the *smoke* sweep."""
@@ -72,14 +72,6 @@ byte-for-byte-gated smoke artifact."""
 FULL_CLIENTS = 60
 """Fleet size of the full sweep (the smoke sweep uses each scenario's own
 ``clients``, which is what the committed bands are calibrated against)."""
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    import hashlib
-
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def run_disaster(spec: DisasterSpec, clients: int | None = None) -> dict[str, object]:
@@ -118,8 +110,8 @@ def run_disaster(spec: DisasterSpec, clients: int | None = None) -> dict[str, ob
         },
         "_band_failures": check_bands(spec, metrics),
         "_wall_seconds": wall_seconds,
-        "_baseline_snapshot_digest": _digest(baseline.snapshot()),
-        "_snapshot_digest": _digest(faulted.snapshot()),
+        "_baseline_snapshot_digest": snapshot_digest(baseline.snapshot()),
+        "_snapshot_digest": snapshot_digest(faulted.snapshot()),
         "_simulated_seconds": faulted.simulated_seconds,
     }
 

@@ -59,7 +59,7 @@ from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_e16_scale  # noqa: E402
-from _util import print_table  # noqa: E402
+from _util import print_table, snapshot_digest  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -94,14 +94,6 @@ DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e18.json"
 FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e18_full.json"
 """Default output of the full sweep, so exploratory runs never clobber the
 byte-for-byte-gated smoke artifact."""
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    import hashlib
-
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def build_world():
@@ -169,8 +161,8 @@ def run_hotspot() -> dict[str, object]:
         "zones": len(zonal),
         "_baseline_dropped": baseline.dropped_requests,
         "_fault_windows": telemetry.fault_windows().get("flash-crowd", []),
-        "_baseline_snapshot_digest": _digest(baseline.snapshot()),
-        "_snapshot_digest": _digest(faulted.snapshot()),
+        "_baseline_snapshot_digest": snapshot_digest(baseline.snapshot()),
+        "_snapshot_digest": snapshot_digest(faulted.snapshot()),
     }
 
 
@@ -210,8 +202,8 @@ def run_slo_burn() -> dict[str, object]:
             for region in baseline.telemetry.regions()
         ),
         "_fault_windows": telemetry.fault_windows().get("partition", []),
-        "_baseline_snapshot_digest": _digest(baseline.snapshot()),
-        "_snapshot_digest": _digest(faulted.snapshot()),
+        "_baseline_snapshot_digest": snapshot_digest(baseline.snapshot()),
+        "_snapshot_digest": snapshot_digest(faulted.snapshot()),
     }
 
 
@@ -265,8 +257,8 @@ def run_overhead(clients: int, steps: int = OVERHEAD_STEPS) -> dict[str, object]
             "on_seconds": round(on_seconds, 3),
             "overhead_pct": round(overhead_pct, 2),
         },
-        "_snapshot_digest_on": _digest(on_snapshot),
-        "_snapshot_digest_off": _digest(off_snapshot),
+        "_snapshot_digest_on": snapshot_digest(on_snapshot),
+        "_snapshot_digest_off": snapshot_digest(off_snapshot),
     }
 
 

@@ -57,7 +57,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
+from _util import print_table, snapshot_digest  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -128,14 +128,6 @@ DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e19.json"
 FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e19_full.json"
 """Default output of the full sweep, so exploratory runs never clobber the
 byte-for-byte-gated smoke artifact."""
-
-
-def _digest(snapshot: dict[str, float]) -> str:
-    """A short stable fingerprint of a run's full snapshot (determinism)."""
-    import hashlib
-
-    payload = json.dumps(snapshot, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def build_world(
@@ -266,7 +258,7 @@ def run_cell(
         "_weight_changes": stats.get("weight_changes", 0.0),
         "_failed_rate": report.failed_request_rate,
         "_simulated_seconds": report.simulated_seconds,
-        "_snapshot_digest": _digest(report.snapshot()),
+        "_snapshot_digest": snapshot_digest(report.snapshot()),
     }
 
 

@@ -88,9 +88,6 @@ class AccessPolicy:
     # ------------------------------------------------------------------
     # Configuration helpers
     # ------------------------------------------------------------------
-    def set_rule(self, service: ServiceName, rule: ServiceRule) -> None:
-        self.rules[service] = rule
-
     def restrict_to_domain(self, service: ServiceName, domain: str) -> None:
         """User-level control: only users from ``domain`` may use ``service``."""
         rule = self.rules.setdefault(service, ServiceRule(allow_anonymous=False))

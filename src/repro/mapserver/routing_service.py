@@ -129,11 +129,6 @@ class RoutingService:
             map_name=self.map_data.metadata.name,
         )
 
-    def route_between_nodes(self, source: int, target: int, metric: str = "distance") -> Route:
-        """Route between two existing graph vertices (used by tests and benches)."""
-        self.queries_served += 1
-        return self._compute(source, target, metric)
-
     def _compute(self, source: int, target: int, metric: str) -> Route:
         if self.algorithm == "contraction":
             hierarchy = self._ensure_hierarchy()

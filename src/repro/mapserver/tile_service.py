@@ -61,10 +61,6 @@ class TileService:
         self.renderer.prerender(coordinates)
         return len(coordinates)
 
-    def coverage_tiles(self, zoom: int) -> list[TileCoordinate]:
-        """The tile coordinates needed to cover this map at ``zoom``."""
-        return tiles_for_box(self.map_data.bounding_box(), zoom)
-
     @property
     def cache_size(self) -> int:
         return self.renderer.cache_size

@@ -40,11 +40,6 @@ class NavigationUpdate:
     current_server: str | None
     localization_source: str | None
 
-    @property
-    def is_indoor_leg(self) -> bool:
-        """True when guidance is currently served by a non-world map server."""
-        return self.current_server is not None and self.current_server != "client.gnss"
-
 
 @dataclass
 class NavigationSession:

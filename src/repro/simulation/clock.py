@@ -34,18 +34,6 @@ class SimulatedClock:
         """Advance the clock by ``milliseconds``."""
         return self.advance(milliseconds / 1000.0)
 
-    def advance_to(self, timestamp: float) -> float:
-        """Advance the clock to an absolute instant (must not be earlier).
-
-        The event-driven workload engine schedules in absolute simulated
-        time, so jumping the clock to a popped event's timestamp is its
-        idiom; ``advance`` stays the relative-delta API everything else
-        uses.
-        """
-        if timestamp < self._now:
-            raise ValueError("cannot advance the clock backwards")
-        return self.advance(timestamp - self._now)
-
     def rewind_to(self, timestamp: float) -> float:
         """Rewind to an earlier instant (concurrent-branch simulation only).
 

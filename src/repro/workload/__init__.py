@@ -18,7 +18,6 @@ from repro.workload.engine import (
     client_base_seed,
     derived_seed_streams,
 )
-from repro.workload.events import Event, EventHeap, EventKind
 from repro.workload.mobility import (
     AisleWalk,
     CommuterHandoff,
@@ -33,9 +32,6 @@ __all__ = [
     "Cohort",
     "CommuterHandoff",
     "CommuterTrace",
-    "Event",
-    "EventHeap",
-    "EventKind",
     "FleetClient",
     "MobilityModel",
     "RandomWaypoint",

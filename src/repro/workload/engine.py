@@ -3,23 +3,24 @@
 The engine owns nothing but orchestration: it builds one
 :class:`repro.core.client.OpenFlameClient` per simulated device (so every
 device has its own discovery and tile caches), assigns each a mobility model
-and a seed-derived RNG, and then drives the fleet through an event-driven
-simulation: a single heap (:mod:`repro.workload.events`) of churn, control,
-request and end-of-round observation events scheduled over the shared
-:class:`~repro.simulation.clock.SimulatedClock`.  All latency comes from the
+and a seed-derived RNG, and then drives the fleet through a plain round
+loop over the shared :class:`~repro.simulation.clock.SimulatedClock`: each
+round applies due fault, churn and control tape events at the round
+boundary, runs every device (or cohort) from the same instant, advances the
+clock by the slowest request plus the inter-round pacing, and then runs the
+end-of-round checks and observers.  All latency comes from the
 federation's simulated network, and per-service latency is recorded into
 percentile histograms so a run can report tail latency (p50/p95/p99)
 alongside cache hit-rates.
 
 Small fleets run every device through the full client stack (the *exact*
-path, byte-identical to the retained legacy round loop).  At
-:attr:`WorkloadConfig.cohort_min_clients` and above the engine switches to
-the cohort fast path (:mod:`repro.workload.cohort`): devices that are
-statistically identical — same mobility family, same resolver pool, no
-individual state — are represented by a few fully simulated *tracer*
-devices plus integer phantom counts whose server-side load is charged in
-batch, which is what lets one process reach 100k clients inside a smoke
-budget and a million in a full sweep.
+path).  At :attr:`WorkloadConfig.cohort_min_clients` and above the engine
+switches to the cohort fast path (:mod:`repro.workload.cohort`): devices
+that are statistically identical — same mobility family, same resolver
+pool, no individual state — are represented by a few fully simulated
+*tracer* devices plus integer phantom counts whose server-side load is
+charged in batch, which is what lets one process reach 100k clients inside
+a smoke budget and a million in a full sweep.
 
 Everything is deterministic: the same scenario and :class:`WorkloadConfig`
 produce byte-identical :meth:`WorkloadReport.snapshot` dictionaries.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.autoscale.policy import AutoscalerConfig
 from repro.autoscale.scaler import Autoscaler
@@ -58,7 +60,6 @@ from repro.simulation.queueing import load_cv
 from repro.spatialindex.cellid import CellId
 from repro.telemetry import TelemetryConfig, TelemetryPipeline
 from repro.workload.cohort import Cohort, plan_periodic_cohorts
-from repro.workload.events import EventHeap, EventKind, RoundObserver, notify_round_end
 from repro.workload.mobility import (
     AisleWalk,
     CommuterHandoff,
@@ -68,6 +69,12 @@ from repro.workload.mobility import (
 )
 from repro.workload.traffic import RequestKind, RequestMix, ZipfSampler
 from repro.worldgen.scenario import FederatedScenario
+
+RoundObserver = Callable[[int, float], None]
+"""A round-boundary hook: called with ``(round_index, now_seconds)`` after
+each round's end-of-round observations.  Observers must not mutate engine
+state — they exist so subsystems like telemetry can snapshot at round
+granularity without the loop knowing about them."""
 
 _CLIENT_SEED_STRIDE = 1_000_003
 """Prime stride separating per-client RNG streams derived from one seed."""
@@ -177,9 +184,9 @@ class WorkloadConfig:
     faults: FaultPlan | None = None
     """Correlated-disaster tape applied while the fleet runs: the engine
     plays the plan through a :class:`~repro.faults.injector.FaultInjector`
-    at round boundaries (the FAULT event rank fires before churn and
-    control), mutating the network's fault state — partitions, gray
-    failures, authority outages — and charging active flash crowds' load.
+    at round boundaries (before churn and control), mutating the network's
+    fault state — partitions, gray failures, authority outages — and
+    charging active flash crowds' load.
     ``None`` attaches no fault state at all, keeping fault-free runs
     byte-identical to the pre-fault engine."""
     telemetry: TelemetryConfig | None = None
@@ -206,12 +213,8 @@ class WorkloadConfig:
     ``None`` (default) builds no API, charges nothing, and adds no
     snapshot keys, so operator-free runs stay byte-identical to builds
     without the operator subsystem."""
-    engine: str = "event"
-    """Which execution loop drives the fleet: ``"event"`` (the heap-driven
-    engine, default) or ``"legacy"`` (the retained round loop, kept as the
-    golden reference the equivalence suite compares against)."""
     cohort_min_clients: int = 5000
-    """Fleet size at or above which the event engine stops materializing
+    """Fleet size at or above which the engine stops materializing
     every device and switches to the cohort fast path (tracers + phantom
     batch load).  Fleets below the threshold — including every committed
     byte-gated benchmark — run the exact per-device path."""
@@ -232,8 +235,6 @@ class WorkloadConfig:
             raise ValueError("a workload needs at least one resolver pool")
         if self.trace_dwell_steps < 0:
             raise ValueError("trace dwell steps cannot be negative")
-        if self.engine not in ("event", "legacy"):
-            raise ValueError("engine must be 'event' or 'legacy'")
         if self.cohort_min_clients < 1:
             raise ValueError("cohort threshold must be positive")
         if self.tracers_per_cohort < 1:
@@ -464,10 +465,7 @@ class WorkloadEngine:
     ) -> None:
         self.scenario = scenario
         self.config = config or WorkloadConfig()
-        self._cohort_mode = (
-            self.config.engine == "event"
-            and self.config.clients >= self.config.cohort_min_clients
-        )
+        self._cohort_mode = self.config.clients >= self.config.cohort_min_clients
         # Large fleets get bounded streaming histograms by default so a
         # million-client sweep does not retain one float per observation; an
         # explicitly supplied registry always wins.
@@ -541,8 +539,8 @@ class WorkloadEngine:
         # (device index, server_id) -> (event instant, target (prio, weight)).
         self._pending_convergence: dict[tuple[int, str], tuple[float, tuple[int, int]]] = {}
         self._devices_tracked = 0
-        # Round-boundary observers, shared by both loops.  An empty list is
-        # a strict no-op, so observer-free runs stay byte-identical.
+        # Round-boundary observers.  An empty list is a strict no-op, so
+        # observer-free runs stay byte-identical.
         self._round_observers: list[RoundObserver] = []
         self.telemetry: TelemetryPipeline | None = None
         if self.config.telemetry is not None:
@@ -585,7 +583,7 @@ class WorkloadEngine:
 
     def add_round_observer(self, observer: RoundObserver) -> None:
         """Register a hook called as ``observer(round_index, now_seconds)``
-        after each round's end-of-round observations, by either loop."""
+        after each round's end-of-round observations."""
         self._round_observers.append(observer)
 
     # ------------------------------------------------------------------
@@ -763,26 +761,18 @@ class WorkloadEngine:
     def run(self) -> WorkloadReport:
         """Run the configured number of steps across the whole fleet.
 
+        Each round applies due faults, churn and control at the round
+        boundary, then runs the fleet from one instant: below the cohort
+        threshold every device in index order, at or above it every cohort.
         Clients within one round act *concurrently*: each runs serially from
         the same simulated instant and the clock is rewound between them, so
         a round advances time by its slowest request (plus the configured
         inter-round pacing) rather than by the sum over the whole fleet.
         Without this, large fleets would spuriously age every TTL between one
-        client's consecutive requests.
-
-        ``config.engine`` picks the loop: the event-driven engine (default)
-        or the retained legacy round loop.  Below the cohort threshold the
-        two produce byte-identical snapshots (the equivalence suite gates
-        this); at or above it the event engine switches to cohort sampling.
+        client's consecutive requests.  The round starts *after* any control
+        exchange, so a networked operator's control-hop time delays the
+        round's traffic rather than being overlapped by it.
         """
-        if self.config.engine == "legacy":
-            return self.run_legacy()
-        return self._run_events()
-
-    def run_legacy(self) -> WorkloadReport:
-        """The original round loop, retained verbatim as the golden
-        reference ``tests/test_engine_equivalence.py`` compares the event
-        engine against."""
         network = self.scenario.federation.network
         clock = network.clock
         started_at = clock.now()
@@ -793,96 +783,18 @@ class WorkloadEngine:
                 self._apply_churn(clock.now())
                 self._apply_control(clock.now())
                 round_start = clock.now()
-                slowest = 0.0
-                for device in self.fleet:
-                    device.advance()
-                    kind = self.config.mix.sample(device.rng)
-                    self._issue(device, kind)
-                    slowest = max(slowest, clock.now() - round_start)
-                    clock.rewind_to(round_start)
-                clock.advance(slowest + self.config.step_seconds)
+                self._round_slowest = 0.0
+                if self._cohort_mode:
+                    for cohort in self.cohorts:
+                        self._run_cohort(cohort, round_start)
+                else:
+                    for device in self.fleet:
+                        self._run_device(device, round_start)
+                clock.advance(self._round_slowest + self.config.step_seconds)
                 self._observe_rediscoveries(clock.now())
                 self._observe_convergence(clock.now())
-                notify_round_end(self._round_observers, round_index, clock.now())
-        finally:
-            # Leave the shared network on its default jitter stream: direct
-            # (non-fleet) use after a run must not inherit the last device's.
-            network.set_jitter_stream(None)
-        return self._report(clock.now() - started_at)
-
-    def _schedule_round(self, heap: EventHeap, at: float) -> None:
-        """Queue one fleet round's fixed events at instant ``at``.
-
-        EventKind ranks make the pop order faults → churn → control → round
-        begin (which fans out the device/cohort events) → devices → round
-        end, replicating the legacy loop's statement order exactly.
-        """
-        if self.fault_injector is not None:
-            heap.push(at, EventKind.FAULT)
-        if self.churn_controller is not None:
-            heap.push(at, EventKind.CHURN)
-        if self.control_plane is not None:
-            heap.push(at, EventKind.CONTROL)
-        heap.push(at, EventKind.ROUND_BEGIN)
-        heap.push(at, EventKind.ROUND_END)
-
-    def _run_events(self) -> WorkloadReport:
-        """The event-driven loop: pop the heap dry, advancing the clock to
-        each event's instant.
-
-        Per-device work stays byte-identical to the legacy loop below the
-        cohort threshold because the heap's total order replays its
-        statement order; above the threshold ROUND_BEGIN fans out cohort
-        events instead of device events and the fast path takes over.
-        """
-        network = self.scenario.federation.network
-        clock = network.clock
-        started_at = clock.now()
-        heap = EventHeap()
-        rounds_remaining = self.config.steps
-        self._round_start = clock.now()
-        self._round_slowest = 0.0
-        self._telemetry_begin(clock.now())
-        self._schedule_round(heap, clock.now())
-        try:
-            while heap:
-                event = heap.pop()
-                # Networked control exchanges advance the clock *during* a
-                # CONTROL event, so a same-instant sibling (ROUND_BEGIN)
-                # can pop with its scheduled time already in the past;
-                # time only moves forward.
-                clock.advance_to(max(event.at_seconds, clock.now()))
-                if event.kind is EventKind.FAULT:
-                    self._apply_faults(clock.now())
-                elif event.kind is EventKind.CHURN:
-                    self._apply_churn(clock.now())
-                elif event.kind is EventKind.CONTROL:
-                    self._apply_control(clock.now())
-                elif event.kind is EventKind.ROUND_BEGIN:
-                    self._round_start = clock.now()
-                    self._round_slowest = 0.0
-                    if self._cohort_mode:
-                        for cohort in self.cohorts:
-                            heap.push(self._round_start, EventKind.COHORT, cohort)
-                    else:
-                        for device in self.fleet:
-                            heap.push(self._round_start, EventKind.DEVICE, device)
-                elif event.kind is EventKind.DEVICE:
-                    self._run_device(event.payload, self._round_start)
-                elif event.kind is EventKind.COHORT:
-                    self._run_cohort(event.payload, self._round_start)
-                else:  # ROUND_END
-                    clock.advance(self._round_slowest + self.config.step_seconds)
-                    self._observe_rediscoveries(clock.now())
-                    self._observe_convergence(clock.now())
-                    notify_round_end(
-                        self._round_observers,
-                        self.config.steps - rounds_remaining,
-                        clock.now(),
-                    )
-                    rounds_remaining -= 1
-                    if rounds_remaining > 0:
-                        self._schedule_round(heap, clock.now())
+                for observer in self._round_observers:
+                    observer(round_index, clock.now())
         finally:
             # Leave the shared network on its default jitter stream: direct
             # (non-fleet) use after a run must not inherit the last device's.

@@ -1,10 +1,9 @@
-"""The event heap, cohort planning, and the large-fleet fast path.
+"""Cohort planning and the large-fleet fast path.
 
-The byte-identity half of the engine refactor is gated by
-``test_engine_equivalence.py``; this module covers the new machinery
-itself: deterministic heap ordering, cohort partitioning arithmetic,
-tracer weighting, phantom load charging, and the fast path's scaling and
-determinism properties.
+Pinned snapshot digests live in ``test_engine_equivalence.py``; this
+module covers the fast path's machinery itself: cohort partitioning
+arithmetic, tracer weighting, phantom load charging, and the fast path's
+scaling and determinism properties.
 """
 
 from __future__ import annotations
@@ -16,14 +15,7 @@ import pytest
 
 from repro.core.config import FederationConfig
 from repro.simulation.queueing import ServiceTimeModel
-from repro.workload import (
-    Cohort,
-    EventHeap,
-    EventKind,
-    WorkloadConfig,
-    WorkloadEngine,
-    plan_cohorts,
-)
+from repro.workload import Cohort, WorkloadConfig, WorkloadEngine, plan_cohorts
 from repro.workload.cohort import plan_periodic_cohorts
 from repro.worldgen.scenario import build_scenario
 
@@ -35,47 +27,6 @@ def small_scenario(**kw):
     kw.setdefault("seed", 33)
     kw.setdefault("reuse_worlds", True)
     return build_scenario(**kw)
-
-
-class TestEventHeap:
-    def test_orders_by_time_then_kind_then_sequence(self):
-        heap = EventHeap()
-        heap.push(5.0, EventKind.ROUND_END)
-        heap.push(5.0, EventKind.CHURN)
-        heap.push(1.0, EventKind.DEVICE, payload="late-pushed, early-time")
-        heap.push(5.0, EventKind.DEVICE, payload="a")
-        heap.push(5.0, EventKind.DEVICE, payload="b")
-        heap.push(5.0, EventKind.CONTROL)
-        popped = [heap.pop() for _ in range(len(heap))]
-        assert [e.kind for e in popped] == [
-            EventKind.DEVICE,  # t=1.0
-            EventKind.CHURN,
-            EventKind.CONTROL,
-            EventKind.DEVICE,
-            EventKind.DEVICE,
-            EventKind.ROUND_END,
-        ]
-        # Same time + same kind pops FIFO by insertion sequence.
-        assert [e.payload for e in popped[3:5]] == ["a", "b"]
-
-    def test_kind_ranks_replicate_round_statement_order(self):
-        """The legacy loop's statement order is churn → control → round
-        begin → devices → round end; the IntEnum ranks must match it."""
-        assert (
-            EventKind.CHURN
-            < EventKind.CONTROL
-            < EventKind.ROUND_BEGIN
-            < EventKind.DEVICE
-            < EventKind.COHORT
-            < EventKind.ROUND_END
-        )
-
-    def test_peek_and_bool(self):
-        heap = EventHeap()
-        assert not heap
-        assert heap.peek() is None
-        event = heap.push(2.0, EventKind.DEVICE)
-        assert heap and heap.peek() is event
 
 
 class TestCohortPlanning:
@@ -142,10 +93,6 @@ class TestCohortPlanning:
 
 
 class TestConfigValidation:
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(engine="both")
-
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
             WorkloadConfig(cohort_min_clients=0)
@@ -225,14 +172,6 @@ class TestCohortFastPath:
 
         small, large = total_arrivals(600), total_arrivals(1800)
         assert large == pytest.approx(3 * small, rel=0.1)
-
-    def test_legacy_engine_never_uses_cohorts(self):
-        config = WorkloadConfig(
-            clients=600, steps=1, seed=7, cohort_min_clients=500, engine="legacy"
-        )
-        engine = WorkloadEngine(small_scenario(), config)
-        assert not engine._cohort_mode
-        assert len(engine.fleet) == 600
 
     def test_scales_to_100k_clients_quickly(self):
         """The tentpole's scale target: a 100k-client fleet must build and

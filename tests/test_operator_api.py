@@ -514,6 +514,47 @@ class TestEngineIntegration(_EngineScenarios):
         network = engine.scenario.federation.network
         assert network.stats.messages_by_kind.get("control.request", 0) >= 1
 
+    def test_round_observers_follow_their_rounds_traffic(self):
+        """A networked control exchange advances the clock at the round
+        boundary; the round's requests must still run before the round
+        closes, so every observer sees exactly one more request per
+        device than the one before it."""
+        scenario = _scenario()
+        drained = scenario.store_replica_ids(0)[0]
+        tape = ControlSchedule.from_events(
+            [
+                ControlEvent(1 * self.STEP_SECONDS, ControlEventKind.DRAIN, drained),
+                ControlEvent(4 * self.STEP_SECONDS, ControlEventKind.UNDRAIN, drained),
+            ]
+        )
+        engine = WorkloadEngine(
+            scenario,
+            WorkloadConfig(
+                clients=20,
+                steps=8,
+                seed=7,
+                step_seconds=self.STEP_SECONDS,
+                control=tape,
+                operator=OperatorConfig(transport="network"),
+            ),
+        )
+        issued: list[int] = []
+
+        def count_issued(round_index: int, now: float) -> None:
+            issued.append(
+                sum(
+                    counter.value
+                    for name, counter in engine.metrics.counters.items()
+                    if name.startswith(("requests.", "errors.", "skipped."))
+                )
+            )
+
+        engine.add_round_observer(count_issued)
+        report = engine.run()
+        assert report.control_stats["events_applied"] == 2.0
+        assert report.operator_stats["delivery_lag_max"] > 0.0
+        assert issued == [20 * (round_index + 1) for round_index in range(8)]
+
     def test_networked_runs_are_deterministic(self):
         def snapshot():
             _, report = self._run(operator=OperatorConfig(transport="network"))

@@ -462,7 +462,7 @@ def set_clock(queue: ServerQueue, instant: float) -> float:
     if clock.now() > instant:
         clock.rewind_to(instant)
     elif clock.now() < instant:
-        clock.advance_to(instant)
+        clock.advance(instant - clock.now())
     return clock.now()
 
 
