@@ -1,9 +1,131 @@
-"""Small helpers shared by the benchmark files."""
+"""Small helpers shared by the benchmark files, and the smoke registry.
+
+:data:`SMOKES` is the one place an experiment smoke is registered: its id
+names the committed artifact, the full-sweep output and the budget knob,
+and every consumer — ``benchmarks/smoke.py`` (the ``check.sh --smoke``
+stage), ``scripts/ci_summary.py`` and the CI tests — iterates it.
+:func:`bench_main` is the standalone entry point those scripts share.
+"""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, TypeVar
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class Smoke:
+    """One budgeted experiment smoke; every other name derives from ``id``."""
+
+    id: str
+    """Lower-case experiment id, e.g. ``"e13"``."""
+    script: str
+    """The benchmark file under ``benchmarks/``."""
+    budget_seconds: float
+    """Default wall-clock budget of the smoke sweep."""
+
+    @property
+    def artifact(self) -> str:
+        """The committed, byte-gated output of the smoke sweep."""
+        return f"BENCH_{self.id}.json"
+
+    @property
+    def full_artifact(self) -> str:
+        """The full sweep's output, ignored by git so it never clobbers the gated file."""
+        return f"BENCH_{self.id}_full.json"
+
+    @property
+    def budget_env(self) -> str:
+        """Environment variable that overrides :attr:`budget_seconds`."""
+        return f"{self.id.upper()}_SMOKE_BUDGET_SECONDS"
+
+
+SMOKES: tuple[Smoke, ...] = (
+    Smoke("e13", "bench_e13_workload.py", 20.0),
+    Smoke("e14", "bench_e14_churn.py", 20.0),
+    Smoke("e15", "bench_e15_control.py", 20.0),
+    # E16 runs 100,000 clients on the cohort fast path; E17 plays the whole
+    # disaster library.  Both finish in seconds, so only an
+    # order-of-magnitude hot-path regression trips the budget.
+    Smoke("e16", "bench_e16_scale.py", 20.0),
+    Smoke("e17", "bench_e17_faults.py", 20.0),
+    # Runs the 100k-client fleet twice, telemetry on and off.
+    Smoke("e18", "bench_e18_telemetry.py", 40.0),
+    # Seven provisioning cells.
+    Smoke("e19", "bench_e19_autoscale.py", 40.0),
+    # Three drain transports, the partitioned-operator race and two
+    # autoscaler reaction cells.
+    Smoke("e20", "bench_e20_operator.py", 40.0),
+)
+
+
+def smoke_for(script: str) -> Smoke:
+    """The registered smoke of a benchmark file (a name or a path)."""
+    name = Path(script).name
+    for smoke in SMOKES:
+        if smoke.script == name:
+            return smoke
+    raise KeyError(f"{name} is not a registered smoke")
+
+
+def bench_main(
+    script: str,
+    description: str | None,
+    sweep: Callable[[bool], T],
+    report: Callable[[T, Path], tuple[list[str], str]],
+    argv: list[str] | None = None,
+) -> int:
+    """Standalone entry point of a registered experiment smoke.
+
+    ``sweep(smoke)`` is the timed region, held to ``--budget-seconds``.
+    ``report(result, json_path)`` prints the tables, runs the acceptance
+    checks and any determinism rerun, writes the artifact to ``json_path``
+    and returns ``(failures, ok_line)``.  ``--smoke`` writes the committed
+    artifact; full mode writes the ``_full`` one.  Returns the exit code.
+    """
+    smoke = smoke_for(script)
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help=f"the seconds-scale sweep that writes the committed {smoke.artifact} "
+        f"(default: the full sweep, written to {smoke.full_artifact})",
+    )
+    parser.add_argument(
+        "--budget-seconds",
+        type=float,
+        default=None,
+        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
+    )
+    args = parser.parse_args(argv)
+    json_path = REPO_ROOT / (smoke.artifact if args.smoke else smoke.full_artifact)
+
+    started = time.perf_counter()
+    result = sweep(args.smoke)
+    elapsed = time.perf_counter() - started
+
+    failures, ok_line = report(result, json_path)
+    print(f"\nwrote {json_path}")
+    if args.budget_seconds is not None and elapsed > args.budget_seconds:
+        failures.append(
+            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
+            "(hot-path regression?)"
+        )
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}")
+        return 1
+    print(f"\nOK: {ok_line} ({elapsed:.1f}s)")
+    return 0
 
 
 def snapshot_digest(snapshot: dict[str, float]) -> str:

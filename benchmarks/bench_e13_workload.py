@@ -11,20 +11,16 @@ saturate* rather than only what clients observe.
 Runs three ways:
 
 * under pytest-benchmark like the other experiments;
-* standalone: ``python benchmarks/bench_e13_workload.py [--smoke]`` —
-  ``--smoke`` runs a reduced sweep that finishes in seconds (used by
-  ``scripts/check.sh``, which also holds it to a wall-clock budget via
-  ``--budget-seconds``); like E14, the smoke sweep *is* the committed
-  ``BENCH_e13.json`` artifact, so every check run re-verifies that it
-  reproduces byte-for-byte;
-* the full sweep (no flags) runs 10 → 10,000 clients (~40 s); write it
-  elsewhere (``--json``) when tracking the long perf trajectory so it
-  does not clobber the gated smoke artifact.
+* ``--smoke`` runs a reduced sweep that finishes in seconds; it *is* the
+  committed artifact, so every ``scripts/check.sh --smoke`` run
+  re-verifies that it reproduces byte-for-byte (``benchmarks/_util.py``
+  registers the artifact and the wall-clock budget);
+* the full sweep (no flags) runs 10 → 10,000 clients (~40 s) into the
+  ``_full`` artifact, so it never clobbers the gated smoke one.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -41,7 +37,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import check_md1_sanity, print_table  # noqa: E402
+from _util import bench_main, check_md1_sanity, print_table  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -71,11 +67,8 @@ requests in near-lockstep phases, so a shallow buffer sheds load well before
 the service rate itself saturates.  256 keeps drops a signal of genuine
 saturation (thousands of clients) rather than phase alignment."""
 
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e13.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e13_full.json"
-"""Default output of the full sweep, so exploratory 10→10k runs never
-clobber the byte-for-byte-gated smoke artifact."""
+SMOKE_FLEET_SIZES, SMOKE_STEPS = [10, 50], 3
+FULL_FLEET_SIZES, FULL_STEPS = [10, 100, 1000, 10_000], 4
 
 
 def build_workload_scenario(cached: bool, seed: int = WORLD_SEED, loaded: bool = True):
@@ -257,51 +250,17 @@ def test_e13_deterministic_snapshot(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument("--steps", type=int, default=None, help="steps per client (>= 1)")
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    if args.steps is not None and args.steps < 1:
-        parser.error("--steps must be >= 1")
+def timed_sweep(smoke: bool) -> tuple[list[dict[str, object]], list[int], int]:
+    fleet_sizes, steps = (SMOKE_FLEET_SIZES, SMOKE_STEPS) if smoke else (FULL_FLEET_SIZES, FULL_STEPS)
+    return sweep(fleet_sizes, steps), fleet_sizes, steps
 
-    if args.smoke:
-        fleet_sizes = [10, 50]
-        steps = args.steps if args.steps is not None else 3
-    else:
-        fleet_sizes = [10, 100, 1000, 10_000]
-        steps = args.steps if args.steps is not None else 4
 
-    started = time.perf_counter()
-    rows = sweep(fleet_sizes, steps)
-    elapsed = time.perf_counter() - started
+def report(
+    result: tuple[list[dict[str, object]], list[int], int], json_path: Path
+) -> tuple[list[str], str]:
+    rows, fleet_sizes, steps = result
     print_table("E13 workload sweep (cached vs uncached discovery)", table_rows(rows))
-
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, steps, json_path)
-        print(f"\nwrote {json_path}")
+    emit_json(rows, steps, json_path)
 
     failures = []
     uncached = [row for row in rows if row["cached"] == "False"]
@@ -321,21 +280,13 @@ def main(argv: list[str] | None = None) -> int:
     for row in rows:
         for failure in check_md1_sanity(row["_server_stats"], steps):
             failures.append(f"M/D/1 sanity ({row['clients']} clients, cached={row['cached']}): {failure}")
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: cached discovery wins at every fleet size and server load grows "
-        f"toward saturation ({elapsed:.1f}s)"
+    return failures, (
+        "cached discovery wins at every fleet size and server load grows toward saturation"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

@@ -32,10 +32,9 @@ on a 4-replica group:
 Runs three ways, like E13:
 
 * under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e14_churn.py --smoke`` —
-  the reduced sweep used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e14.json`` reproduces;
+* ``--smoke`` runs the reduced sweep; it *is* the committed artifact, so
+  every ``scripts/check.sh --smoke`` run re-verifies that it reproduces
+  (``benchmarks/_util.py`` registers the artifact and the budget);
 * the full sweep (no flags) runs a larger fleet over more churn rates.
 
 Everything is deterministic under the fixed seeds: the same invocation
@@ -44,7 +43,6 @@ rewrites byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -62,7 +60,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table, snapshot_digest  # noqa: E402
+from _util import bench_main, print_table, snapshot_digest  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -84,13 +82,6 @@ SERVER_QUEUE_CAPACITY = 256
 RETRY_POLICY = RetryPolicy.utilization_aware()
 """Utilization-aware exponential backoff: retries against a saturated
 replica spread out, retries after a one-off blip stay fast."""
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e14.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e14_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
-
 
 BALANCE_REPLICAS = 4
 """Replica count of the balance/detection comparison cells: a 4-replica
@@ -387,44 +378,18 @@ def test_e14_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        replica_counts = [1, 2, 3]
-        churn_rates = [0.0, 1.5, 3.0]
-        clients, steps = 24, 10
+def timed_sweep(smoke: bool) -> tuple[list[dict[str, object]], list[float], int, int]:
+    if smoke:
+        replica_counts, churn_rates, clients, steps = [1, 2, 3], [0.0, 1.5, 3.0], 24, 10
     else:
-        replica_counts = [1, 2, 3]
-        churn_rates = [0.0, 1.0, 3.0, 6.0]
-        clients, steps = 100, 12
+        replica_counts, churn_rates, clients, steps = [1, 2, 3], [0.0, 1.0, 3.0, 6.0], 100, 12
+    return sweep(replica_counts, churn_rates, clients, steps), churn_rates, clients, steps
 
-    started = time.perf_counter()
-    rows = sweep(replica_counts, churn_rates, clients, steps)
-    elapsed = time.perf_counter() - started
+
+def report(
+    result: tuple[list[dict[str, object]], list[float], int, int], json_path: Path
+) -> tuple[list[str], str]:
+    rows, churn_rates, clients, steps = result
     print_table("E14 availability under churn (replicas x churn rate)", table_rows(rows))
 
     failures = verify(rows, churn_rates)
@@ -438,26 +403,15 @@ def main(argv: list[str] | None = None) -> int:
     if repeat["_snapshot_digest"] != reference["_snapshot_digest"]:
         failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, clients, steps, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: churn degrades single-replica availability, replication restores "
-        f"it below 1% failed requests, failover latency measured ({elapsed:.1f}s)"
+    emit_json(rows, clients, steps, json_path)
+    return failures, (
+        "churn degrades single-replica availability, replication restores "
+        "it below 1% failed requests, failover latency measured"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,9 @@ measures what an operator can *do to* a live one through the control plane
 Runs three ways, like E13/E14:
 
 * under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e15_control.py --smoke`` —
-  the reduced sweep used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e15.json`` reproduces;
+* ``--smoke`` runs the reduced sweep; it *is* the committed artifact, so
+  every ``scripts/check.sh --smoke`` run re-verifies that it reproduces
+  (``benchmarks/_util.py`` registers the artifact and the budget);
 * the full sweep (no flags) runs a larger fleet over more drain/TTL cells.
 
 Everything is deterministic under the fixed seeds: the same invocation
@@ -36,7 +35,6 @@ rewrites byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -56,7 +54,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table, snapshot_digest  # noqa: E402
+from _util import bench_main, print_table, snapshot_digest  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -83,12 +81,6 @@ SERVICE_TIMES = ServiceTimeModel(
 SERVER_QUEUE_CAPACITY = 256
 
 RETRY_POLICY = RetryPolicy.utilization_aware()
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e15.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e15_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
 
 
 def build_control_scenario(
@@ -509,44 +501,18 @@ def test_e15_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced sweep (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        drain_rounds = [2, 5]
-        dns_ttls = [40.0, 80.0]
-        clients, steps = 24, 12
+def timed_sweep(smoke: bool) -> tuple[list[dict[str, object]], list[int], list[float], int, int]:
+    if smoke:
+        drain_rounds, dns_ttls, clients, steps = [2, 5], [40.0, 80.0], 24, 12
     else:
-        drain_rounds = [2, 5, 8]
-        dns_ttls = [30.0, 60.0, 120.0]
-        clients, steps = 64, 14
+        drain_rounds, dns_ttls, clients, steps = [2, 5, 8], [30.0, 60.0, 120.0], 64, 14
+    return sweep(drain_rounds, dns_ttls, clients, steps), drain_rounds, dns_ttls, clients, steps
 
-    started = time.perf_counter()
-    rows = sweep(drain_rounds, dns_ttls, clients, steps)
-    elapsed = time.perf_counter() - started
+
+def report(
+    result: tuple[list[dict[str, object]], list[int], list[float], int, int], json_path: Path
+) -> tuple[list[str], str]:
+    rows, drain_rounds, dns_ttls, clients, steps = result
     print_table("E15 operator control plane (drain round x DNS TTL)", table_rows(rows))
 
     failures = verify(rows, dns_ttls)
@@ -563,27 +529,16 @@ def main(argv: list[str] | None = None) -> int:
     if repeat["_snapshot_digest"] != reference["_snapshot_digest"]:
         failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, clients, steps, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: live drains converge within the cache-decay window with zero "
-        f"failed requests; warm standbys idle until tier 0 dies; operator "
-        f"promotion beats cold failover ({elapsed:.1f}s)"
+    emit_json(rows, clients, steps, json_path)
+    return failures, (
+        "live drains converge within the cache-decay window with zero "
+        "failed requests; warm standbys idle until tier 0 dies; operator "
+        "promotion beats cold failover"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

@@ -14,18 +14,15 @@ phantom load charged in batch).
 Runs three ways:
 
 * under pytest-benchmark like the other experiments;
-* standalone: ``python benchmarks/bench_e16_scale.py [--smoke]`` —
-  ``--smoke`` runs 20k and 100k clients in seconds (used by
-  ``scripts/check.sh`` under the ``E16_SMOKE_BUDGET_SECONDS`` wall-clock
-  budget); the smoke sweep *is* the committed ``BENCH_e16.json``
-  artifact, byte-for-byte gated like E13/E14/E15;
-* the full sweep (no flags) runs 100k → 1,000,000 clients; it writes
-  ``BENCH_e16_full.json`` so exploration never clobbers the gated file.
+* ``--smoke`` runs 20k and 100k clients in seconds; it *is* the committed
+  artifact, byte-for-byte gated by ``scripts/check.sh --smoke`` under a
+  wall-clock budget (both registered in ``benchmarks/_util.py``);
+* the full sweep (no flags) runs 100k → 1,000,000 clients into the
+  ``_full`` artifact, so exploration never clobbers the gated file.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -42,7 +39,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table  # noqa: E402
+from _util import bench_main, print_table  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -74,10 +71,9 @@ SERVER_QUEUE_CAPACITY = 512
 """Per-worker queue slots; deep enough that drops mean sustained overload,
 not a single lockstep round's phase alignment."""
 
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e16.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e16_full.json"
-"""Default output of the full (1M-client) sweep."""
+SMOKE_FLEET_SIZES = [20_000, 100_000]
+FULL_FLEET_SIZES = [100_000, 500_000, 1_000_000]
+STEPS = 3
 
 
 def workers_for(clients: int) -> int:
@@ -232,55 +228,17 @@ def test_e16_deterministic_snapshot(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="20k + 100k clients (finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument("--steps", type=int, default=None, help="steps per client (>= 1)")
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    if args.steps is not None and args.steps < 1:
-        parser.error("--steps must be >= 1")
+def timed_sweep(smoke: bool) -> list[dict[str, object]]:
+    return sweep(SMOKE_FLEET_SIZES if smoke else FULL_FLEET_SIZES, STEPS)
 
-    if args.smoke:
-        fleet_sizes = [20_000, 100_000]
-        steps = args.steps if args.steps is not None else 3
-    else:
-        fleet_sizes = [100_000, 500_000, 1_000_000]
-        steps = args.steps if args.steps is not None else 3
 
-    started = time.perf_counter()
-    rows = sweep(fleet_sizes, steps)
-    elapsed = time.perf_counter() - started
+def report(rows: list[dict[str, object]], json_path: Path) -> tuple[list[str], str]:
     print_table("E16 scale sweep (cohort fast path)", table_rows(rows))
-
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, steps, json_path)
-        print(f"\nwrote {json_path}")
+    emit_json(rows, STEPS, json_path)
 
     failures = []
     for row in rows:
-        expected = row["clients"] * steps
+        expected = row["clients"] * STEPS
         accounted = row["requests"] + row["errors"]
         # Weighted totals must account for every simulated device-step
         # (skipped zero-length routes are the only legitimate shortfall).
@@ -292,23 +250,17 @@ def main(argv: list[str] | None = None) -> int:
     biggest = rows[-1]
     if biggest["util_max"] <= 0.0:
         failures.append("no server-side load measured at the largest fleet")
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(fast-path regression?)"
-        )
 
     headline = max(row["_clients_per_second"] for row in rows)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: {biggest['clients']:,} clients on {biggest['tracers']} tracers, "
+    return failures, (
+        f"{biggest['clients']:,} clients on {biggest['tracers']} tracers, "
         f"peak {headline:,.0f} simulated client-steps/s, "
-        f"max server utilization {biggest['util_max']:.2f} ({elapsed:.1f}s)"
+        f"max server utilization {biggest['util_max']:.2f}"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

@@ -26,10 +26,10 @@ bands:
 Runs three ways, like E13–E16:
 
 * under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e17_faults.py --smoke`` —
-  used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e17.json`` reproduces;
+* ``--smoke`` runs each scenario at its calibrated fleet size; it *is*
+  the committed artifact, so every ``scripts/check.sh --smoke`` run
+  re-verifies that it reproduces (``benchmarks/_util.py`` registers the
+  artifact and the budget);
 * the full sweep (no flags) runs the same scenarios with a larger fleet.
 
 Everything is deterministic under the fixed seeds: the same invocation
@@ -38,7 +38,6 @@ rewrites byte-identical JSON.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import sys
@@ -61,13 +60,7 @@ from repro.faults.scenarios import (
 from repro.workload import WorkloadEngine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table, snapshot_digest  # noqa: E402
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e17.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e17_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
+from _util import bench_main, print_table, snapshot_digest  # noqa: E402
 
 FULL_CLIENTS = 60
 """Fleet size of the full sweep (the smoke sweep uses each scenario's own
@@ -210,70 +203,36 @@ def test_e17_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="the scenario library at its calibrated fleet sizes (finishes "
-        "in seconds) for CI smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the sweep artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the sweep takes longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
+def timed_sweep(smoke: bool) -> tuple[list[dict[str, object]], int | None]:
+    clients = None if smoke else FULL_CLIENTS
+    return sweep(clients=clients), clients
 
-    started = time.perf_counter()
-    rows = sweep(clients=None if args.smoke else FULL_CLIENTS)
-    elapsed = time.perf_counter() - started
+
+def report(
+    result: tuple[list[dict[str, object]], int | None], json_path: Path
+) -> tuple[list[str], str]:
+    rows, clients = result
     print_table("E17 correlated disasters (baseline vs faulted)", table_rows(rows))
 
     failures = verify(rows)
 
     # Determinism: the richest scenario (authority outage: DNS timeouts,
     # stale serving, degraded accounting) must reproduce exactly.
-    repeat = run_disaster(
-        SCENARIOS[2], clients=None if args.smoke else FULL_CLIENTS
-    )
+    repeat = run_disaster(SCENARIOS[2], clients=clients)
     reference = next(row for row in rows if row["scenario"] == repeat["scenario"])
     if repeat["_snapshot_digest"] != reference["_snapshot_digest"]:
         failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH)
-    if not args.no_json:
-        emit_json(rows, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"sweep took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s budget "
-            "(hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: all {len(rows)} disasters stayed inside their acceptance bands "
+    emit_json(rows, json_path)
+    return failures, (
+        f"all {len(rows)} disasters stayed inside their acceptance bands "
         f"— failover under partitions, load shedding under crowds, stale-serve "
-        f"degradation under authority outage ({elapsed:.1f}s)"
+        f"degradation under authority outage"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

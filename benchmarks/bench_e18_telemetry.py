@@ -24,22 +24,20 @@ burn.  This experiment pins the three claims that justify it:
 Runs three ways, like E13–E17:
 
 * under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e18_telemetry.py --smoke``
-  — used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e18.json`` reproduces;
+* ``--smoke`` runs the calibrated probes with the 100k-client overhead
+  fleet; it *is* the committed artifact, so every ``scripts/check.sh
+  --smoke`` run re-verifies that it reproduces (``benchmarks/_util.py``
+  registers the artifact and the budget);
 * the full sweep (no flags) re-runs the probes with a larger overhead
-  fleet and writes ``BENCH_e18_full.json``.
+  fleet into the ``_full`` artifact.
 
-Wall-clock overhead is machine-dependent, so the committed artifact pins
-the ``overhead.measured`` block from the last ``--record-overhead`` run;
-every invocation still measures fresh and enforces a generous ceiling,
-it just does not rewrite the pinned numbers (byte-for-byte gate).
+Wall-clock overhead is machine-dependent, so it stays out of the
+byte-gated artifact: every run measures it fresh, prints it and holds it
+to a generous ceiling.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -59,7 +57,7 @@ from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import bench_e16_scale  # noqa: E402
-from _util import print_table, snapshot_digest  # noqa: E402
+from _util import bench_main, print_table, snapshot_digest  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -87,13 +85,7 @@ SMOKE_OVERHEAD_CLIENTS = 100_000
 FULL_OVERHEAD_CLIENTS = 250_000
 OVERHEAD_CEILING_PCT = 75.0
 """Fresh-measurement guard: telemetry-on may not cost more than this over
-telemetry-off at the smoke fleet (the pinned artifact records far less)."""
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e18.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e18_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
+telemetry-off at the smoke fleet."""
 
 
 def build_world():
@@ -252,11 +244,6 @@ def run_overhead(clients: int, steps: int = OVERHEAD_STEPS) -> dict[str, object]
         "transparent": _strip_telemetry(on_snapshot) == off_snapshot,
         "pct": overhead_pct,
         "_steps": steps,
-        "_measured": {
-            "off_seconds": round(off_seconds, 3),
-            "on_seconds": round(on_seconds, 3),
-            "overhead_pct": round(overhead_pct, 2),
-        },
         "_snapshot_digest_on": snapshot_digest(on_snapshot),
         "_snapshot_digest_off": snapshot_digest(off_snapshot),
     }
@@ -273,15 +260,9 @@ def emit_json(
     hotspot: dict[str, object],
     burn: dict[str, object],
     overhead: dict[str, object],
-    measured: dict[str, float],
     path: Path,
 ) -> None:
-    """Write the machine-readable probe outcomes.
-
-    ``measured`` is the wall-clock block to embed — the caller passes the
-    pinned block from the committed artifact unless ``--record-overhead``
-    asked to refresh it, keeping the artifact byte-identical across hosts.
-    """
+    """Write the machine-readable probe outcomes (no wall clock: byte-gated)."""
     payload = {
         "experiment": "E18",
         "description": "federation-wide telemetry: zonal hot-spot "
@@ -324,21 +305,9 @@ def emit_json(
             "telemetry_transparent": overhead["transparent"],
             "snapshot_digest_on": overhead["_snapshot_digest_on"],
             "snapshot_digest_off": overhead["_snapshot_digest_off"],
-            # Wall clock is machine-dependent: pinned, not re-measured,
-            # unless --record-overhead (the byte gate needs stability).
-            "measured": measured,
         },
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def pinned_measured() -> dict[str, float] | None:
-    """The committed artifact's wall-clock block, if it exists and parses."""
-    try:
-        block = json.loads(DEFAULT_JSON_PATH.read_text())["overhead"]["measured"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return block if isinstance(block, dict) else None
 
 
 def verify(
@@ -447,46 +416,17 @@ def test_e18_deterministic(benchmark):
 # ----------------------------------------------------------------------
 # Standalone mode
 # ----------------------------------------------------------------------
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="the calibrated probes with the 100k-client overhead fleet "
-        "(finishes in seconds) for CI smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the probe artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the probes take longer than this wall-clock budget",
-    )
-    parser.add_argument(
-        "--record-overhead",
-        action="store_true",
-        help="rewrite the artifact's pinned overhead.measured wall-clock "
-        "block from this run instead of carrying the committed one forward",
-    )
-    args = parser.parse_args(argv)
-
-    started = time.perf_counter()
+def timed_sweep(smoke: bool) -> tuple[dict[str, object], dict[str, object], dict[str, object]]:
     hotspot = run_hotspot()
     burn = run_slo_burn()
-    overhead = run_overhead(
-        clients=SMOKE_OVERHEAD_CLIENTS if args.smoke else FULL_OVERHEAD_CLIENTS
-    )
-    elapsed = time.perf_counter() - started
+    overhead = run_overhead(clients=SMOKE_OVERHEAD_CLIENTS if smoke else FULL_OVERHEAD_CLIENTS)
+    return hotspot, burn, overhead
+
+
+def report(
+    result: tuple[dict[str, object], dict[str, object], dict[str, object]], json_path: Path
+) -> tuple[list[str], str]:
+    hotspot, burn, overhead = result
     print_table("E18 hot-spot localization", table_rows([hotspot]))
     print_table("E18 SLO burn alerting", table_rows([burn]))
     print_table("E18 telemetry overhead", table_rows([overhead]))
@@ -499,37 +439,18 @@ def main(argv: list[str] | None = None) -> int:
     if repeat["_snapshot_digest"] != hotspot["_snapshot_digest"]:
         failures.append("rerun with fixed seed produced a different snapshot")
 
-    measured = overhead["_measured"]
-    if args.smoke and not args.record_overhead:
-        pinned = pinned_measured()
-        if pinned is not None:
-            measured = pinned
-    json_path = args.json if args.json is not None else (
-        DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH
-    )
-    if not args.no_json:
-        emit_json(hotspot, burn, overhead, measured, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"probes took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s "
-            "budget (hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print(
-        f"\nOK: zonal roll-up put {hotspot['share']:.0%} of shed load in cell "
+    emit_json(hotspot, burn, overhead, json_path)
+    return failures, (
+        f"zonal roll-up put {hotspot['share']:.0%} of shed load in cell "
         f"{hotspot['top_cell']} while global p95 moved {hotspot['p95_x']:.2f}x; "
         f"region {burn['region']} burned {burn['max_burn']:.1f}x budget with "
         f"{burn['alerts']} alert window(s); telemetry at "
-        f"{overhead['clients']:,} clients cost {overhead['pct']:+.1f}% "
-        f"({elapsed:.1f}s)"
+        f"{overhead['clients']:,} clients cost {overhead['pct']:+.1f}%"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

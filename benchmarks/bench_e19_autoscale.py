@@ -26,20 +26,18 @@ claims are pinned:
 Runs three ways, like E13–E18:
 
 * under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e19_autoscale.py --smoke``
-  — used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e19.json`` reproduces;
-* the full sweep (no flags) re-runs the cells with a larger fleet and
-  writes ``BENCH_e19_full.json``.
+* ``--smoke`` runs the calibrated 24-client cells; it *is* the committed
+  artifact, so every ``scripts/check.sh --smoke`` run re-verifies that it
+  reproduces (``benchmarks/_util.py`` registers the artifact and the
+  budget);
+* the full sweep (no flags) re-runs the cells with a larger fleet into
+  the ``_full`` artifact.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 try:
@@ -57,7 +55,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table, snapshot_digest  # noqa: E402
+from _util import bench_main, print_table, snapshot_digest  # noqa: E402
 
 WORLD_SEED = 33
 WORKLOAD_SEED = 7
@@ -122,12 +120,6 @@ MAX_OSCILLATION_WEIGHT_CHANGES = 8
 ATTAINMENT_MARGIN = 0.02
 """Autoscaled SLO attainment must beat static-lean by at least this much
 (measured headroom is ~0.05 on both traffic patterns)."""
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e19.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e19_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
 
 
 def build_world(
@@ -451,39 +443,19 @@ def emit_json(
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="the calibrated 24-client cells (finishes in seconds) for CI "
-        "smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the cell artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the cells take longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    clients = SMOKE_CLIENTS if args.smoke else FULL_CLIENTS
-
-    started = time.perf_counter()
+def timed_sweep(smoke: bool) -> tuple[list[dict[str, object]], list[dict[str, object]], dict[str, object], int]:
+    clients = SMOKE_CLIENTS if smoke else FULL_CLIENTS
     flash = run_pattern("flash", flash_plan, FLASH_STEPS, clients)
     diurnal = run_pattern("diurnal", diurnal_plan, DIURNAL_STEPS, clients)
     oscillation = run_oscillation(clients)
-    elapsed = time.perf_counter() - started
+    return flash, diurnal, oscillation, clients
+
+
+def report(
+    result: tuple[list[dict[str, object]], list[dict[str, object]], dict[str, object], int],
+    json_path: Path,
+) -> tuple[list[str], str]:
+    flash, diurnal, oscillation, clients = result
     print_table("E19 flash crowd", table_rows(flash))
     print_table("E19 diurnal curve", table_rows(diurnal))
     print_table("E19 oscillation stability", table_rows([oscillation]))
@@ -496,34 +468,21 @@ def main(argv: list[str] | None = None) -> int:
     if repeat["_snapshot_digest"] != by_mode(flash)["auto"]["_snapshot_digest"]:
         failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (
-        DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH
-    )
-    if not args.no_json:
-        emit_json(flash, diurnal, oscillation, clients, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"cells took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s "
-            "budget (hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
+    emit_json(flash, diurnal, oscillation, clients, json_path)
     flash_cells, diurnal_cells = by_mode(flash), by_mode(diurnal)
-    print(
-        f"\nOK: flash attainment lean {flash_cells['static-lean']['attainment']:.3f} "
+    return failures, (
+        f"flash attainment lean {flash_cells['static-lean']['attainment']:.3f} "
         f"→ auto {flash_cells['auto']['attainment']:.3f} at "
         f"{flash_cells['auto']['cost_rs'] / flash_cells['static-over']['cost_rs']:.0%} "
         f"of static-over cost; diurnal auto {diurnal_cells['auto']['attainment']:.3f} "
         f"with {diurnal_cells['auto']['promotions']:.0f} promotions; oscillation "
         f"{oscillation['_weight_changes']:.0f} weight changes, "
-        f"{oscillation['flaps']:.0f} flaps ({elapsed:.1f}s)"
+        f"{oscillation['flaps']:.0f} flaps"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

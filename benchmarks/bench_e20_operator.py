@@ -37,20 +37,18 @@ pinned:
 Runs three ways, like E13–E19:
 
 * under pytest-benchmark;
-* standalone smoke: ``python benchmarks/bench_e20_operator.py --smoke``
-  — used by ``scripts/check.sh`` (wall-clock budgeted via
-  ``--budget-seconds``); the smoke sweep *is* the committed artifact, so
-  every check run re-verifies that ``BENCH_e20.json`` reproduces;
-* the full sweep (no flags) re-runs the cells with a larger fleet and
-  writes ``BENCH_e20_full.json``.
+* ``--smoke`` runs the calibrated small-fleet cells; it *is* the
+  committed artifact, so every ``scripts/check.sh --smoke`` run
+  re-verifies that it reproduces (``benchmarks/_util.py`` registers the
+  artifact and the budget);
+* the full sweep (no flags) re-runs the cells with a larger fleet into
+  the ``_full`` artifact.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 try:
@@ -76,7 +74,7 @@ from repro.workload import WorkloadConfig, WorkloadEngine
 from repro.worldgen.scenario import build_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _util import print_table, snapshot_digest  # noqa: E402
+from _util import bench_main, print_table, snapshot_digest  # noqa: E402
 from bench_e19_autoscale import (  # noqa: E402
     AUTOSCALE,
     FLASH_STEPS,
@@ -105,12 +103,6 @@ fraction of exchanges (~63% per exchange), forcing full timeouts and
 next-round same-token retries — not just padded latencies."""
 
 OPERATOR_TIMEOUT_MS = 400.0
-
-DEFAULT_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e20.json"
-"""The committed, check.sh-gated artifact — written by the *smoke* sweep."""
-FULL_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_e20_full.json"
-"""Default output of the full sweep, so exploratory runs never clobber the
-byte-for-byte-gated smoke artifact."""
 
 
 # ----------------------------------------------------------------------
@@ -575,40 +567,19 @@ def emit_json(
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="the calibrated small-fleet cells (finishes in seconds) for CI "
-        "smoke checks",
-    )
-    parser.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        help=f"where to write the cell artifact (smoke default {DEFAULT_JSON_PATH.name} "
-        f"— the committed, byte-for-byte-gated artifact; full-sweep default "
-        f"{FULL_JSON_PATH.name} so exploration never clobbers the gated file)",
-    )
-    parser.add_argument(
-        "--no-json", action="store_true", help="skip writing the JSON artifact"
-    )
-    parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) if the cells take longer than this wall-clock budget",
-    )
-    args = parser.parse_args(argv)
-    clients = SMOKE_CLIENTS if args.smoke else FULL_CLIENTS
-    reaction_clients = AUTOSCALE_SMOKE_CLIENTS if args.smoke else AUTOSCALE_FULL_CLIENTS
-
-    started = time.perf_counter()
+def timed_sweep(smoke: bool) -> tuple[list[dict[str, object]], dict[str, object], list[dict[str, object]], int]:
+    clients = SMOKE_CLIENTS if smoke else FULL_CLIENTS
     drain = run_drain_cells(clients)
     partition = run_partition_cell()
-    reaction = run_reaction_cells(reaction_clients)
-    elapsed = time.perf_counter() - started
+    reaction = run_reaction_cells(AUTOSCALE_SMOKE_CLIENTS if smoke else AUTOSCALE_FULL_CLIENTS)
+    return drain, partition, reaction, clients
+
+
+def report(
+    result: tuple[list[dict[str, object]], dict[str, object], list[dict[str, object]], int],
+    json_path: Path,
+) -> tuple[list[str], str]:
+    drain, partition, reaction, clients = result
     print_table("E20 drain transports", table_rows(drain))
     print_table(
         "E20 partitioned operators",
@@ -636,36 +607,23 @@ def main(argv: list[str] | None = None) -> int:
     if repeat["_snapshot_digest"] != by_mode(drain)["net-lossy"]["_snapshot_digest"]:
         failures.append("rerun with fixed seed produced a different snapshot")
 
-    json_path = args.json if args.json is not None else (
-        DEFAULT_JSON_PATH if args.smoke else FULL_JSON_PATH
-    )
-    if not args.no_json:
-        emit_json(drain, partition, reaction, clients, json_path)
-        print(f"\nwrote {json_path}")
-
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        failures.append(
-            f"cells took {elapsed:.1f}s, over the {args.budget_seconds:.1f}s "
-            "budget (hot-path regression?)"
-        )
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
+    emit_json(drain, partition, reaction, clients, json_path)
     cells = by_mode(drain)
     reaction_cells = by_mode(reaction, key="transport")
-    print(
-        f"\nOK: first-event drain lag direct {cells['direct']['lag_first_s']:.2f}s "
+    return failures, (
+        f"first-event drain lag direct {cells['direct']['lag_first_s']:.2f}s "
         f"→ healthy {cells['net-healthy']['lag_first_s']:.2f}s → lossy "
         f"{cells['net-lossy']['lag_first_s']:.2f}s; partition winner seq "
         f"{partition['winner_seq']} < loser {partition['loser_seq']} "
         f"({partition['loser_error']}); autoscaler first action "
         f"{reaction_cells['direct']['first_action_s']:.1f}s → "
         f"{reaction_cells['network']['first_action_s']:.1f}s networked; "
-        f"replay digest {partition['replay_digest']} ({elapsed:.1f}s)"
+        f"replay digest {partition['replay_digest']}"
     )
-    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return bench_main(__file__, __doc__, timed_sweep, report, argv)
 
 
 if __name__ == "__main__":

@@ -2,30 +2,19 @@
 # Repo check, split into the three stages the CI pipeline parallelizes:
 #
 #   --tier1   the tier-1 pytest suite
-#   --smoke   the E13 .. E20 benchmark smokes (wall-clock budgeted) plus
-#             the byte-for-byte reproducibility gate on ALL committed
-#             artifacts (BENCH_e13.json .. BENCH_e20.json are written by
-#             the smoke sweeps themselves, so a drifting simulation fails
-#             the gate)
+#   --smoke   every registered experiment smoke (wall-clock budgeted) plus
+#             the byte-for-byte reproducibility gate on its committed
+#             artifact (the smoke sweeps write the artifacts themselves, so
+#             a drifting simulation fails the gate): benchmarks/smoke.py
 #   --lint    ruff check + ruff format --check (skipped with a notice when
 #             ruff is not installed, so offline containers stay one-command;
 #             CI installs ruff and enforces it), plus the docs link
 #             checker (a dead relative link in README.md or docs/ fails)
 #
 # With no stage flag every stage runs in order — the local one-command check.
-# Budgets: E13_SMOKE_BUDGET_SECONDS / E14_SMOKE_BUDGET_SECONDS /
-# E15_SMOKE_BUDGET_SECONDS / E16_SMOKE_BUDGET_SECONDS /
-# E17_SMOKE_BUDGET_SECONDS (default 20s each),
-# E18_SMOKE_BUDGET_SECONDS (default 40s: it runs the 100k-client fleet
-# twice, telemetry on and off), E19_SMOKE_BUDGET_SECONDS (default
-# 40s: seven provisioning cells plus a determinism rerun) and
-# E20_SMOKE_BUDGET_SECONDS (default 40s: three drain transports, the
-# partitioned-operator race, two autoscaler reaction cells and a
-# determinism rerun).  The
-# optimized smokes finish in a couple of seconds — E16 runs 100,000
-# clients inside its budget on the cohort fast path, E17 plays the whole
-# disaster library — so only an order-of-magnitude hot-path regression
-# trips them.
+# The experiments, their artifacts and their budgets (each overridable by an
+# ENN_SMOKE_BUDGET_SECONDS environment variable) are registered once, in
+# SMOKES in benchmarks/_util.py.
 # Usage: scripts/check.sh [--tier1|--smoke|--lint]...
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,57 +48,8 @@ fi
 
 if $run_smoke; then
   echo
-  echo "== benchmark smoke: E13 workload (budgeted) =="
-  python benchmarks/bench_e13_workload.py --smoke \
-    --budget-seconds "${E13_SMOKE_BUDGET_SECONDS:-20}"
-
-  echo
-  echo "== benchmark smoke: E14 churn/failover/balancing (budgeted) =="
-  python benchmarks/bench_e14_churn.py --smoke \
-    --budget-seconds "${E14_SMOKE_BUDGET_SECONDS:-20}"
-
-  echo
-  echo "== benchmark smoke: E15 operator control plane (budgeted) =="
-  python benchmarks/bench_e15_control.py --smoke \
-    --budget-seconds "${E15_SMOKE_BUDGET_SECONDS:-20}"
-
-  echo
-  echo "== benchmark smoke: E16 100k-client scale (budgeted) =="
-  python benchmarks/bench_e16_scale.py --smoke \
-    --budget-seconds "${E16_SMOKE_BUDGET_SECONDS:-20}"
-
-  echo
-  echo "== benchmark smoke: E17 correlated disasters (budgeted) =="
-  python benchmarks/bench_e17_faults.py --smoke \
-    --budget-seconds "${E17_SMOKE_BUDGET_SECONDS:-20}"
-
-  echo
-  echo "== benchmark smoke: E18 telemetry pipeline (budgeted) =="
-  python benchmarks/bench_e18_telemetry.py --smoke \
-    --budget-seconds "${E18_SMOKE_BUDGET_SECONDS:-40}"
-
-  echo
-  echo "== benchmark smoke: E19 autoscaler (budgeted) =="
-  python benchmarks/bench_e19_autoscale.py --smoke \
-    --budget-seconds "${E19_SMOKE_BUDGET_SECONDS:-40}"
-
-  echo
-  echo "== benchmark smoke: E20 operator API (budgeted) =="
-  python benchmarks/bench_e20_operator.py --smoke \
-    --budget-seconds "${E20_SMOKE_BUDGET_SECONDS:-40}"
-
-  for artifact in BENCH_e13.json BENCH_e14.json BENCH_e15.json BENCH_e16.json BENCH_e17.json BENCH_e18.json BENCH_e19.json BENCH_e20.json; do
-    # `git diff` exits 0 for untracked paths, which would make the gate
-    # vacuous for an artifact nobody committed — require the baseline.
-    if ! git ls-files --error-unmatch "$artifact" >/dev/null 2>&1; then
-      echo "FAIL: $artifact is not tracked by git (the byte-for-byte gate needs a committed baseline)"
-      exit 1
-    fi
-    if ! git diff --quiet -- "$artifact" 2>/dev/null; then
-      echo "FAIL: smoke did not reproduce the committed $artifact"
-      exit 1
-    fi
-  done
+  echo "== benchmark smokes + artifact byte-gates =="
+  python benchmarks/smoke.py
 fi
 
 if $run_lint; then

@@ -2,24 +2,26 @@
 """Render the BENCH artifacts' headline numbers as a markdown summary.
 
 CI appends the output to ``$GITHUB_STEP_SUMMARY`` after the smoke stage, so
-every run shows the telemetry / disaster / scale / control-plane /
-availability / balancing / saturation / autoscaling headlines next to the
-uploaded ``BENCH_e13.json`` .. ``BENCH_e20.json`` artifacts without anyone
-downloading them.  Standalone use: ``python scripts/ci_summary.py``.
-Column definitions and regeneration commands for every table live in
-``docs/BENCHMARKS.md``.
+every run shows each registered smoke's headlines (``SMOKES`` in
+``benchmarks/_util.py``, newest experiment first) next to the uploaded
+``BENCH_eNN.json`` artifacts without anyone downloading them.  Standalone
+use: ``python scripts/ci_summary.py``.  Column definitions and
+regeneration commands for every table live in ``docs/BENCHMARKS.md``.
 
 Rendering degrades gracefully: a missing or malformed artifact becomes a
 note in the summary rather than a traceback that kills the whole step —
-one corrupt benchmark file must never hide the other five tables.
+one corrupt benchmark file must never hide the other seven tables.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+from _util import SMOKES  # noqa: E402
 
 
 def e20_summary(payload: dict) -> list[str]:
@@ -154,15 +156,14 @@ def e18_summary(payload: dict) -> list[str]:
             )
         )
     overhead = payload.get("overhead", {})
-    measured = overhead.get("measured", {})
-    if measured:
+    if overhead:
         lines.append(
-            "| telemetry-on overhead | {clients} clients: {pct:+.1f}% wall clock, "
-            "{records:.0f} records into {windows} retained window(s) |".format(
+            "| telemetry-on overhead | {clients} clients: {records:.0f} records into "
+            "{windows} retained window(s); transparent when off: {transparent} |".format(
                 clients=int(overhead.get("clients", 0)),
-                pct=measured.get("overhead_pct", 0.0),
                 records=overhead.get("records", 0.0),
                 windows=int(overhead.get("windows_retained", 0)),
+                transparent="yes" if overhead.get("telemetry_transparent") else "NO",
             )
         )
     return lines
@@ -301,20 +302,21 @@ def e13_summary(payload: dict) -> list[str]:
     return lines
 
 
-RENDERERS: tuple[tuple[str, object], ...] = (
-    ("BENCH_e20.json", e20_summary),
-    ("BENCH_e19.json", e19_summary),
-    ("BENCH_e18.json", e18_summary),
-    ("BENCH_e17.json", e17_summary),
-    ("BENCH_e16.json", e16_summary),
-    ("BENCH_e15.json", e15_summary),
-    ("BENCH_e14.json", e14_summary),
-    ("BENCH_e13.json", e13_summary),
-)
+RENDERERS = {
+    "e13": e13_summary,
+    "e14": e14_summary,
+    "e15": e15_summary,
+    "e16": e16_summary,
+    "e17": e17_summary,
+    "e18": e18_summary,
+    "e19": e19_summary,
+    "e20": e20_summary,
+}
+"""One renderer per registered smoke, keyed by its experiment id."""
 
 
 def summarize(root: Path) -> list[str]:
-    """Render every artifact under ``root`` into one markdown document.
+    """Render every registered artifact under ``root`` into one markdown document.
 
     Degrades gracefully instead of failing the CI summary step: a missing
     artifact becomes a "missing" note, a malformed one (invalid JSON, or a
@@ -328,14 +330,15 @@ def summarize(root: Path) -> list[str]:
         "[docs/BENCHMARKS.md](docs/BENCHMARKS.md).",
         "",
     ]
-    for name, render in RENDERERS:
+    for smoke in reversed(SMOKES):
+        name = smoke.artifact
         path = root / name
         if not path.is_file():
             lines += [f"## {name}", "", "_missing — smoke stage did not produce it_", ""]
             continue
         try:
             payload = json.loads(path.read_text())
-            rendered = render(payload)
+            rendered = RENDERERS[smoke.id](payload)
         except (OSError, ValueError, TypeError, AttributeError, KeyError) as exc:
             lines += [
                 f"## {name}",

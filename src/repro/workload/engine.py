@@ -505,7 +505,6 @@ class WorkloadEngine:
             self.operator_api = OperatorApi(
                 federation=scenario.federation,
                 principals=principals,
-                contend_for_queue=op_config.contend_for_queue,
             )
             endpoint_id = op_config.endpoint_id
             if endpoint_id is None:
@@ -561,11 +560,7 @@ class WorkloadEngine:
 
             assert self.telemetry is not None  # enforced by WorkloadConfig
             scaler_control = None
-            if (
-                self.operator_client is not None
-                and self.config.operator is not None
-                and self.config.operator.route_autoscaler
-            ):
+            if self.operator_client is not None:
                 # The autoscaler's batches travel the operator API like any
                 # console's: authenticated, audited, and (over the network
                 # transport) paying the same control-hop latency and loss.

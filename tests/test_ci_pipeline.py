@@ -3,15 +3,21 @@
 ``actionlint`` is not part of the offline toolchain, so tier-1 carries a
 lightweight stand-in: the workflow must parse as YAML, trigger on pushes and
 pull requests, cover Python 3.10–3.12 with pip caching, call the staged
-``scripts/check.sh`` entry points, and gate/upload both BENCH artifacts.
-The same file checks that the stages the workflow calls actually exist in
-``check.sh`` and that the ruff configuration the lint stage enforces is
-present in ``pyproject.toml``.
+``scripts/check.sh`` entry points, and gate/upload every BENCH artifact of
+the smoke registry (``SMOKES`` in ``benchmarks/_util.py``).  The same file
+checks that the stages the workflow calls actually exist in ``check.sh``,
+that the smoke stage runs every registered smoke under its budget, and
+that the ruff configuration the lint stage enforces is present in
+``pyproject.toml``.
 """
 
 from __future__ import annotations
 
+import fnmatch
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +26,9 @@ yaml = pytest.importorskip("yaml")
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 CHECK_SH = REPO_ROOT / "scripts" / "check.sh"
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+import smoke as smoke_stage  # noqa: E402
+from _util import SMOKES  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -72,18 +81,11 @@ class TestWorkflow:
         steps = workflow["jobs"]["smoke"]["steps"]
         uploads = [s for s in steps if str(s.get("uses", "")).startswith("actions/upload-artifact")]
         assert uploads, "smoke job uploads no artifacts"
-        paths = uploads[0]["with"]["path"]
-        for artifact in (
-            "BENCH_e13.json",
-            "BENCH_e14.json",
-            "BENCH_e15.json",
-            "BENCH_e16.json",
-            "BENCH_e17.json",
-            "BENCH_e18.json",
-            "BENCH_e19.json",
-            "BENCH_e20.json",
-        ):
-            assert artifact in paths, f"smoke job does not upload {artifact}"
+        globs = uploads[0]["with"]["path"].split()
+        for smoke in SMOKES:
+            assert any(fnmatch.fnmatchcase(smoke.artifact, glob) for glob in globs), (
+                f"smoke job does not upload {smoke.artifact}"
+            )
         assert any("ci_summary" in s.get("run", "") for s in steps), "no step-summary step"
 
     def test_workflow_steps_are_well_formed(self, workflow):
@@ -95,56 +97,71 @@ class TestWorkflow:
                 )
 
 
+def run_fake_smoke_stage(monkeypatch, budgets):
+    """``benchmarks/smoke.py``'s main with every subprocess faked and only
+    the ``budgets`` overrides in the environment.
+
+    Returns the commands it ran and the artifacts it handed to the gate.
+    """
+    commands, gated = [], []
+
+    def fake_run(command, **_kwargs):
+        commands.append(command)
+        return SimpleNamespace(returncode=0)
+
+    def fake_gate(artifacts):
+        gated.extend(artifacts)
+        return []
+
+    monkeypatch.setattr(smoke_stage, "subprocess", SimpleNamespace(run=fake_run))
+    monkeypatch.setattr(smoke_stage, "gate_failures", fake_gate)
+    for smoke in SMOKES:
+        monkeypatch.delenv(smoke.budget_env, raising=False)
+    for name, value in budgets.items():
+        monkeypatch.setenv(name, value)
+    assert smoke_stage.main() == 0
+    return commands, gated
+
+
 class TestCheckShStages:
-    def test_stage_flags_exist(self):
+    def test_stage_flags_exist(self, monkeypatch):
         script = CHECK_SH.read_text()
         for flag in ("--tier1", "--smoke", "--lint"):
             assert flag in script
-        # Every artifact is byte-for-byte gated.
-        for artifact in (
-            "BENCH_e13.json",
-            "BENCH_e14.json",
-            "BENCH_e15.json",
-            "BENCH_e16.json",
-            "BENCH_e17.json",
-            "BENCH_e18.json",
-            "BENCH_e19.json",
-            "BENCH_e20.json",
-        ):
-            assert artifact in script, f"check.sh does not gate {artifact}"
+        # The smoke stage is the registry driver, and it byte-gates every
+        # registered artifact.
+        assert "python benchmarks/smoke.py" in script
+        _, gated = run_fake_smoke_stage(monkeypatch, {})
+        assert gated == [smoke.artifact for smoke in SMOKES]
 
-    def test_smoke_stage_runs_every_budgeted_bench(self):
-        """Each experiment smoke runs under its own wall-clock budget knob."""
-        script = CHECK_SH.read_text()
-        for bench, budget in (
-            ("bench_e13_workload.py", "E13_SMOKE_BUDGET_SECONDS"),
-            ("bench_e14_churn.py", "E14_SMOKE_BUDGET_SECONDS"),
-            ("bench_e15_control.py", "E15_SMOKE_BUDGET_SECONDS"),
-            ("bench_e16_scale.py", "E16_SMOKE_BUDGET_SECONDS"),
-            ("bench_e17_faults.py", "E17_SMOKE_BUDGET_SECONDS"),
-            ("bench_e18_telemetry.py", "E18_SMOKE_BUDGET_SECONDS"),
-            ("bench_e19_autoscale.py", "E19_SMOKE_BUDGET_SECONDS"),
-            ("bench_e20_operator.py", "E20_SMOKE_BUDGET_SECONDS"),
-        ):
-            assert bench in script, f"check.sh does not run {bench}"
-            assert budget in script, f"check.sh does not budget via {budget}"
+    def test_smoke_stage_runs_every_budgeted_bench(self, monkeypatch):
+        """Each experiment smoke runs in its own process under its own
+        wall-clock budget knob, defaulting to the registry's budget."""
+        overridden = SMOKES[-1]
+        commands, _ = run_fake_smoke_stage(monkeypatch, {overridden.budget_env: "7"})
+        assert len(commands) == len(SMOKES)
+        for smoke, command in zip(SMOKES, commands):
+            assert command[0] == sys.executable
+            assert Path(command[1]) == REPO_ROOT / "benchmarks" / smoke.script
+            assert Path(command[1]).is_file()
+            budget = "7" if smoke is overridden else str(smoke.budget_seconds)
+            assert command[2:] == ["--smoke", "--budget-seconds", budget]
+
+    def test_smoke_gate_rejects_an_untracked_artifact(self):
+        failures = smoke_stage.gate_failures(["BENCH_untracked.json"])
+        assert len(failures) == 1
+        assert "not tracked by git" in failures[0]
 
     def test_ci_summary_renders_every_artifact(self):
-        summary = (REPO_ROOT / "scripts" / "ci_summary.py").read_text()
-        for artifact in (
-            "BENCH_e13.json",
-            "BENCH_e14.json",
-            "BENCH_e15.json",
-            "BENCH_e16.json",
-            "BENCH_e17.json",
-            "BENCH_e18.json",
-            "BENCH_e19.json",
-            "BENCH_e20.json",
-        ):
-            assert artifact in summary, f"ci_summary.py ignores {artifact}"
+        summary_path = REPO_ROOT / "scripts" / "ci_summary.py"
+        spec = importlib.util.spec_from_file_location("ci_summary_for_pipeline", summary_path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for smoke in SMOKES:
+            assert smoke.id in module.RENDERERS, f"ci_summary.py ignores {smoke.artifact}"
         # The step summary points readers at the docs layer for column
         # definitions and regeneration commands.
-        assert "docs/BENCHMARKS.md" in summary
+        assert "docs/BENCHMARKS.md" in summary_path.read_text()
 
     def test_lint_stage_runs_the_docs_link_checker(self):
         script = CHECK_SH.read_text()

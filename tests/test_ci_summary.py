@@ -27,6 +27,7 @@ def _load_ci_summary():
 
 
 ci_summary = _load_ci_summary()
+ARTIFACT = {smoke.id: smoke.artifact for smoke in ci_summary.SMOKES}
 
 
 class TestGracefulDegradation:
@@ -34,30 +35,28 @@ class TestGracefulDegradation:
         lines = ci_summary.summarize(tmp_path)
         text = "\n".join(lines)
         assert "# Benchmark smoke headlines" in text
-        for name, _render in ci_summary.RENDERERS:
-            assert f"## {name}" in text
-        assert text.count("_missing — smoke stage did not produce it_") == len(
-            ci_summary.RENDERERS
-        )
+        for artifact in ARTIFACT.values():
+            assert f"## {artifact}" in text
+        assert text.count("_missing — smoke stage did not produce it_") == len(ARTIFACT)
 
     def test_malformed_json_becomes_note_not_traceback(self, tmp_path):
-        (tmp_path / "BENCH_e17.json").write_text("{not json at all")
+        (tmp_path / ARTIFACT["e17"]).write_text("{not json at all")
         lines = ci_summary.summarize(tmp_path)
         text = "\n".join(lines)
-        assert "## BENCH_e17.json" in text
+        assert f"## {ARTIFACT['e17']}" in text
         assert "_unreadable — " in text
 
     def test_wrong_shape_becomes_note_not_traceback(self, tmp_path):
         # Valid JSON, wrong shape: rows is a string, scenarios a number.
-        (tmp_path / "BENCH_e16.json").write_text(json.dumps({"rows": "oops"}))
-        (tmp_path / "BENCH_e17.json").write_text(json.dumps({"scenarios": 7}))
+        (tmp_path / ARTIFACT["e16"]).write_text(json.dumps({"rows": "oops"}))
+        (tmp_path / ARTIFACT["e17"]).write_text(json.dumps({"scenarios": 7}))
         lines = ci_summary.summarize(tmp_path)
         text = "\n".join(lines)
         assert text.count("_unreadable — ") == 2
 
     def test_one_bad_artifact_does_not_hide_the_good_ones(self, tmp_path):
-        (tmp_path / "BENCH_e13.json").write_text("][")
-        (tmp_path / "BENCH_e17.json").write_text(
+        (tmp_path / ARTIFACT["e13"]).write_text("][")
+        (tmp_path / ARTIFACT["e17"]).write_text(
             json.dumps(
                 {
                     "scenarios": [
@@ -75,7 +74,7 @@ class TestGracefulDegradation:
         assert "_unreadable — " in text  # the bad one became a note
 
     def test_e18_renderer_emits_all_three_probes(self, tmp_path):
-        (tmp_path / "BENCH_e18.json").write_text(
+        (tmp_path / ARTIFACT["e18"]).write_text(
             json.dumps(
                 {
                     "hotspot": {
@@ -93,7 +92,7 @@ class TestGracefulDegradation:
                         "clients": 100_000,
                         "records": 300000.0,
                         "windows_retained": 8,
-                        "measured": {"overhead_pct": 3.5},
+                        "telemetry_transparent": True,
                     },
                 }
             )
@@ -103,4 +102,6 @@ class TestGracefulDegradation:
         assert "2122211320" in text
         assert "SLO burn alerting" in text
         assert "telemetry-on overhead" in text
-        assert "100000 clients" in text
+        assert "100000 clients: 300000 records into 8 retained window(s)" in text
+        assert "transparent when off: yes" in text
+        assert "wall clock" not in text
